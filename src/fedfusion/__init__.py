@@ -51,8 +51,7 @@ from .flcore import (
     ensemble_accuracy,
     ensemble_logits,
     feddf_fuse,
-    run_round_heterogeneous,
-    run_round_homogeneous,
+    run_round,
     run_training,
     sample_clients,
     top1_accuracy,

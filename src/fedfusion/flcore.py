@@ -13,6 +13,11 @@ feddf_hetero  feddf across several model prototypes: each prototype's student
               starts from its own group average and distills against the
               ensemble of every received model.
 
+All five strategies share one round loop, run_round, which applies the
+strategy to each prototype group's average of surviving clients.
+run_training stamps each RoundRecord with the round's wall time (wall_ms);
+per-prototype accuracies are recorded for feddf_hetero only.
+
 Determinism: every random stream is derived from (seed, stream tag, round,
 client), never from call order, so thread-parallel client execution is
 bitwise identical to sequential execution.
@@ -20,6 +25,7 @@ bitwise identical to sequential execution.
 
 from __future__ import annotations
 
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -32,7 +38,6 @@ from .models import (
     ParamVector,
     Prototype,
     average_params,
-    binarize_ste_grad,
     binarize_values,
     init_params,
     predict_logits,
@@ -173,7 +178,12 @@ class ServerState:
 
 @dataclass
 class RoundRecord:
-    """Per-round metrics; per_prototype is empty for homogeneous rounds."""
+    """Per-round metrics.
+
+    per_prototype is filled for feddf_hetero only and empty otherwise.
+    wall_ms is the round's wall time, stamped by run_training; it is left out
+    of as_dict() and of equality, since it differs between identical runs.
+    """
 
     round_index: int
     sampled: list[int]
@@ -183,6 +193,7 @@ class RoundRecord:
     acc_ensemble: float
     distill_steps: int
     per_prototype: dict[str, dict[str, float]] = field(default_factory=dict)
+    wall_ms: float = field(default=0.0, compare=False)
 
     def as_dict(self) -> dict:
         return {
@@ -249,7 +260,6 @@ def client_local_update(
     anchor_values = (anchor if anchor is not None else start).values
     params = start.copy()
     state = numerics.OptimizerState.sgd(lr)
-    binary = proto.precision == "binary_ste"
     n = len(shard)
     for _ in range(epochs):
         order = rng.permutation(n)
@@ -257,10 +267,7 @@ def client_local_update(
             sel = order[lo : lo + batch_size]
             xb = shard.inputs[sel]
             yb = shard.labels[sel]
-            if binary:
-                g = binarize_ste_grad(params, xb, yb)
-            else:
-                g = numerics.grad("ce", params, xb, labels=yb)
+            g = numerics.grad("ce", params, xb, labels=yb)
             if prox_mu != 0.0:
                 g = g + prox_mu * (params.values - anchor_values)
             params, state = numerics.opt_step(state, params, g)
@@ -393,93 +400,39 @@ def _train_sampled(
     return [train_one(int(k)) for k in ids]
 
 
-def _check_round_inputs(state: ServerState, cfg: FLConfig, shards: list[Dataset]) -> None:
+def run_round(
+    state: ServerState,
+    cfg: FLConfig,
+    shards: list[Dataset],
+    val: Dataset,
+    client_prototypes: list[str] | None = None,
+    parallel: bool = False,
+    capture: dict | None = None,
+) -> tuple[ServerState, RoundRecord]:
+    """One round of any strategy; returns (new state, record).
+
+    client_prototypes maps client id -> prototype id (None: the single
+    prototype). Surviving clients are averaged per prototype group, weighted
+    by shard size; the strategy then keeps each average (fedavg, fedprox),
+    applies server momentum (fedavgm), or distills the ensemble of every
+    surviving model into a student started from it (feddf, feddf_hetero).
+    Prototypes without a surviving client keep their parameters. capture
+    receives "client_models" and the group average "averaged" (the last
+    group's when there are several).
+    """
     if state.seed != cfg.seed:
         raise ConfigError(f"state seed {state.seed} != config seed {cfg.seed}")
     if len(shards) != cfg.client_count:
         raise ConfigError(f"{cfg.client_count} clients but {len(shards)} shards")
-
-
-def run_round_homogeneous(
-    state: ServerState,
-    cfg: FLConfig,
-    shards: list[Dataset],
-    val: Dataset,
-    parallel: bool = False,
-    capture: dict | None = None,
-) -> tuple[ServerState, RoundRecord]:
-    """One round with a single shared prototype. Returns (new state, record)."""
-    if cfg.strategy == "feddf_hetero":
-        raise ConfigError("feddf_hetero rounds go through run_round_heterogeneous")
-    _check_round_inputs(state, cfg, shards)
-    if len(state.params) != 1:
-        raise ConfigError(f"homogeneous round needs exactly one prototype, got {len(state.params)}")
-    (pid,) = state.params
-    x_prev = state.params[pid]
-    t = state.round_index + 1
-    ids = sample_clients(cfg.client_count, cfg.participation, sampling_rng(cfg.seed, t))
-    trained = _train_sampled(cfg, state, shards, {int(k): x_prev for k in ids}, ids, parallel)
-    kept_idx = _kept_indices(trained, val, cfg.drop_threshold)
-    kept_ids = [int(ids[i]) for i in kept_idx]
-    kept_models = [trained[i] for i in kept_idx]
-    dropped = [int(k) for k in ids if int(k) not in set(kept_ids)]
-    weights = [len(shards[k]) for k in kept_ids]
-    avg = average_params(kept_models, weights)
-    acc_avg = top1_accuracy(avg, val)
-    acc_ens = ensemble_accuracy(kept_models, val)
-    velocity = dict(state.velocity)
-    distill_steps = 0
-    if cfg.strategy in ("fedavg", "fedprox"):
-        new = avg
-    elif cfg.strategy == "fedavgm":
-        beta = cfg.server_momentum
-        v_prev = state.velocity[pid]
-        new_values = avg.values if beta == 0.0 else avg.values - beta * v_prev
-        new = ParamVector(x_prev.prototype, new_values)
-        velocity[pid] = beta * v_prev + (x_prev.values - avg.values)
-    else:  # feddf
-        init = avg if cfg.distill.init_mode == "from_average" else x_prev
-        new, distill_steps = feddf_fuse(kept_models, init, cfg.distill, val, pool_rng(cfg.seed, t))
-    acc_fused = acc_avg if new is avg else top1_accuracy(new, val)
-    if capture is not None:
-        capture["averaged"] = avg
-        capture["client_models"] = {int(k): m for k, m in zip(ids, trained)}
-        capture["kept_ids"] = kept_ids
-    record = RoundRecord(
-        round_index=t,
-        sampled=[int(k) for k in ids],
-        dropped=dropped,
-        acc_averaged=acc_avg,
-        acc_fused=acc_fused,
-        acc_ensemble=acc_ens,
-        distill_steps=distill_steps,
-    )
-    new_state = ServerState({pid: new}, velocity, t, state.seed)
-    return new_state, record
-
-
-def run_round_heterogeneous(
-    state: ServerState,
-    cfg: FLConfig,
-    shards: list[Dataset],
-    client_prototypes: list[str],
-    val: Dataset,
-    parallel: bool = False,
-    capture: dict | None = None,
-) -> tuple[ServerState, RoundRecord]:
-    """One round across several prototypes (strategy feddf_hetero).
-
-    Every sampled client trains its own prototype's current server model.
-    Per prototype, surviving members are averaged within the group; that
-    average (or the previous server model) seeds a student distilled against
-    the ensemble of all surviving models from every group. Prototypes with no
-    surviving member this round keep their previous parameters and are absent
-    from per_prototype. Top-level acc_averaged and acc_fused are means over
-    the prototypes updated this round.
-    """
-    if cfg.strategy != "feddf_hetero":
-        raise ConfigError("run_round_heterogeneous requires strategy 'feddf_hetero'")
-    _check_round_inputs(state, cfg, shards)
+    hetero = cfg.strategy == "feddf_hetero"
+    if not hetero and len(state.params) != 1:
+        raise ConfigError(
+            f"strategy {cfg.strategy!r} needs exactly one prototype, got {len(state.params)}"
+        )
+    if client_prototypes is None:
+        if hetero:
+            raise ConfigError("feddf_hetero needs a client_prototypes map")
+        client_prototypes = list(state.params) * cfg.client_count
     if len(client_prototypes) != cfg.client_count:
         raise ConfigError(
             f"client_prototypes maps {len(client_prototypes)} clients, expected {cfg.client_count}"
@@ -498,43 +451,49 @@ def run_round_heterogeneous(
     acc_ens = ensemble_accuracy(kept_models, val)
     prng = pool_rng(cfg.seed, t)
     new_params = dict(state.params)
+    velocity = dict(state.velocity)
     per_proto: dict[str, dict[str, float]] = {}
     distill_steps = 0
     for pid in sorted(state.params):
         members = [i for i, k in enumerate(kept_ids) if client_prototypes[k] == pid]
         if not members:
             continue
-        group_models = [kept_models[i] for i in members]
-        group_weights = [len(shards[kept_ids[i]]) for i in members]
-        avg_p = average_params(group_models, group_weights)
-        init = avg_p if cfg.distill.init_mode == "from_average" else state.params[pid]
-        fused, steps = feddf_fuse(kept_models, init, cfg.distill, val, prng)
-        new_params[pid] = fused
+        x_prev = state.params[pid]
+        weights = [len(shards[kept_ids[i]]) for i in members]
+        avg = average_params([kept_models[i] for i in members], weights)
+        if cfg.strategy == "fedavgm":
+            beta = cfg.server_momentum
+            v_prev = state.velocity[pid]
+            new_values = avg.values if beta == 0.0 else avg.values - beta * v_prev
+            new = ParamVector(x_prev.prototype, new_values)
+            velocity[pid] = beta * v_prev + (x_prev.values - avg.values)
+        elif cfg.distill is not None:  # feddf, feddf_hetero
+            init = avg if cfg.distill.init_mode == "from_average" else x_prev
+            new, steps = feddf_fuse(kept_models, init, cfg.distill, val, prng)
+            distill_steps = max(distill_steps, steps)
+        else:  # fedavg, fedprox
+            new = avg
+        new_params[pid] = new
+        acc_avg_p = top1_accuracy(avg, val)
         per_proto[pid] = {
-            "acc_averaged": top1_accuracy(avg_p, val),
-            "acc_fused": top1_accuracy(fused, val),
+            "acc_averaged": acc_avg_p,
+            "acc_fused": acc_avg_p if new is avg else top1_accuracy(new, val),
         }
-        distill_steps = max(distill_steps, steps)
         if capture is not None:
-            capture.setdefault("averaged_by_prototype", {})[pid] = avg_p
-    if not per_proto:
-        raise ConfigError("no prototype received any surviving client this round")
-    acc_avg = float(np.mean([d["acc_averaged"] for d in per_proto.values()]))
-    acc_fused = float(np.mean([d["acc_fused"] for d in per_proto.values()]))
+            capture["averaged"] = avg
     if capture is not None:
         capture["client_models"] = {int(k): m for k, m in zip(ids, trained)}
-        capture["kept_ids"] = kept_ids
     record = RoundRecord(
         round_index=t,
         sampled=[int(k) for k in ids],
         dropped=dropped,
-        acc_averaged=acc_avg,
-        acc_fused=acc_fused,
+        acc_averaged=float(np.mean([d["acc_averaged"] for d in per_proto.values()])),
+        acc_fused=float(np.mean([d["acc_fused"] for d in per_proto.values()])),
         acc_ensemble=acc_ens,
         distill_steps=distill_steps,
-        per_prototype=per_proto,
+        per_prototype=per_proto if hetero else {},
     )
-    new_state = ServerState(new_params, dict(state.velocity), t, state.seed)
+    new_state = ServerState(new_params, velocity, t, state.seed)
     return new_state, record
 
 
@@ -549,8 +508,10 @@ def run_training(
 ) -> tuple[ServerState, list[RoundRecord]]:
     """Full T-round run from a fresh server state; pure function of cfg + data.
 
-    The distillation pool's epoch cursor is reset at the start so repeated
-    calls with the same config are identical.
+    The one exception is each record's wall_ms, the wall time of its
+    run_round call. The distillation pool's epoch cursor is reset at the
+    start so repeated calls with the same config are identical.
+    capture_final is the last round's capture.
     """
     if cfg.distill is not None:
         cfg.distill.pool.reset()
@@ -558,13 +519,8 @@ def run_training(
     records: list[RoundRecord] = []
     for r in range(cfg.rounds):
         cap = capture_final if r == cfg.rounds - 1 else None
-        if cfg.strategy == "feddf_hetero":
-            if client_prototypes is None:
-                raise ConfigError("feddf_hetero needs a client_prototypes map")
-            state, rec = run_round_heterogeneous(
-                state, cfg, shards, client_prototypes, val, parallel, cap
-            )
-        else:
-            state, rec = run_round_homogeneous(state, cfg, shards, val, parallel, cap)
+        tic = time.perf_counter()
+        state, rec = run_round(state, cfg, shards, val, client_prototypes, parallel, cap)
+        rec.wall_ms = (time.perf_counter() - tic) * 1000.0
         records.append(rec)
     return state, records

@@ -42,8 +42,10 @@ Config files are INI format (configparser). A full experiment file looks like
     centralized_epochs = 60
     grid = none
 
-Per-round metrics go to <output>/seed<k>/<strategy>/metrics.jsonl (one JSON
-object per line; wall_ms is the only nondeterministic field). The aggregate
+Each (seed, strategy) arm is one flcore.run_training call. Its per-round
+records go to <output>/seed<k>/<strategy>/metrics.jsonl (one JSON object per
+line); wall_ms, the round wall time run_training stamps on each record, is
+the only nondeterministic field. The aggregate
 summary.json is byte-identical across reruns of the same config, including
 single-threaded vs thread-parallel client execution. The FEDFUSION_OUTPUT_ROOT
 environment variable, when set, replaces the configured output directory.
@@ -54,7 +56,6 @@ from __future__ import annotations
 import configparser
 import json
 import os
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -80,8 +81,7 @@ from .flcore import (
     RoundRecord,
     ServerState,
     client_local_update,
-    run_round_heterogeneous,
-    run_round_homogeneous,
+    run_training,
     top1_accuracy,
 )
 from .models import ParamVector, Prototype, init_params, predict_logits, save_params
@@ -147,10 +147,10 @@ class MetricsRow:
         )
 
     @staticmethod
-    def from_record(rec: RoundRecord, wall_ms: float) -> "MetricsRow":
+    def from_record(rec: RoundRecord) -> "MetricsRow":
         return MetricsRow(
             round=rec.round_index,
-            wall_ms=wall_ms,
+            wall_ms=rec.wall_ms,
             acc_averaged=rec.acc_averaged,
             acc_fused=rec.acc_fused,
             acc_ensemble=rec.acc_ensemble,
@@ -557,6 +557,8 @@ def build_seed_data(cfg: ExperimentConfig, seed: int) -> SeedData:
         cfg.classes, cfg.per_class, cfg.centers, cfg.scale, _derive_seed(seed, _TAG_TRAIN)
     )
     train, val = split_train_val(full, cfg.val_fraction, _derive_seed(seed, _TAG_SPLIT))
+    if cfg.clients > len(train):
+        raise ConfigError(f"federated.clients = {cfg.clients} exceeds the {len(train)} training samples")
     test = make_gaussian_blobs(
         cfg.classes, cfg.test_per_class, cfg.centers, cfg.scale, _derive_seed(seed, _TAG_TEST)
     )
@@ -631,35 +633,6 @@ def centralized_reference(
     return top1_accuracy(trained, data.val), top1_accuracy(trained, data.test)
 
 
-def _timed_training(
-    cfg: ExperimentConfig,
-    flcfg: FLConfig,
-    data: SeedData,
-    parallel: bool,
-    capture_final: dict | None,
-) -> tuple[ServerState, list[RoundRecord], list[MetricsRow]]:
-    # mirrors flcore.run_training but stamps wall time per round
-    if flcfg.distill is not None:
-        flcfg.distill.pool.reset()
-    state = ServerState.initialize(cfg.prototypes(), flcfg.seed)
-    proto_map = cfg.client_prototype_map()
-    records: list[RoundRecord] = []
-    rows: list[MetricsRow] = []
-    for r in range(flcfg.rounds):
-        cap = capture_final if r == flcfg.rounds - 1 else None
-        tic = time.perf_counter()
-        if flcfg.strategy == "feddf_hetero":
-            state, rec = run_round_heterogeneous(
-                state, flcfg, data.shards, proto_map, data.val, parallel, cap
-            )
-        else:
-            state, rec = run_round_homogeneous(state, flcfg, data.shards, data.val, parallel, cap)
-        wall_ms = (time.perf_counter() - tic) * 1000.0
-        records.append(rec)
-        rows.append(MetricsRow.from_record(rec, wall_ms))
-    return state, records, rows
-
-
 def _final_test_metrics(cfg: ExperimentConfig, state: ServerState, test: Dataset) -> dict:
     per_proto = {pid: top1_accuracy(p, test) for pid, p in sorted(state.params.items())}
     return {
@@ -668,7 +641,8 @@ def _final_test_metrics(cfg: ExperimentConfig, state: ServerState, test: Dataset
     }
 
 
-def resolve_output_root(cfg: ExperimentConfig) -> Path:
+def resolve_output_root(cfg: ExperimentConfig | BoundSuiteConfig) -> Path:
+    """FEDFUSION_OUTPUT_ROOT when set, else the config's output directory."""
     env = os.environ.get(OUTPUT_ENV_VAR)
     return Path(env) if env else Path(cfg.output_root)
 
@@ -710,10 +684,13 @@ def run_experiment(cfg: ExperimentConfig, parallel: bool | None = None) -> dict:
             flcfg = _build_fl_config(cfg, strategy, seed, data.pool_inputs)
             want_capture = cfg.grid is not None and strategy != "feddf_hetero"
             capture: dict | None = {} if want_capture else None
-            state, records, rows = _timed_training(cfg, flcfg, data, use_parallel, capture)
+            state, records = run_training(
+                flcfg, data.shards, data.val, cfg.prototypes(), cfg.client_prototype_map(),
+                use_parallel, capture,
+            )
             run_dir = seed_dir / strategy
             run_dir.mkdir(exist_ok=True)
-            write_metrics(rows, run_dir / "metrics.jsonl")
+            write_metrics([MetricsRow.from_record(r) for r in records], run_dir / "metrics.jsonl")
             for pid, pv in sorted(state.params.items()):
                 save_params(pv, run_dir / f"final_{pid}.params")
             if cfg.grid is not None:
@@ -834,8 +811,7 @@ def load_bound_config(path) -> BoundSuiteConfig:
 
 def run_bound_suite(cfg: BoundSuiteConfig) -> dict:
     """Evaluate the bound on seeded random instances; write reports + summary."""
-    env = os.environ.get(OUTPUT_ENV_VAR)
-    root = Path(env) if env else Path(cfg.output_root)
+    root = resolve_output_root(cfg)
     root.mkdir(parents=True, exist_ok=True)
     reports = []
     for i in range(cfg.instances):

@@ -15,7 +15,7 @@ vector keeps full-precision master values that gradients are applied to
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -181,56 +181,16 @@ def predict_logits(params: ParamVector, inputs: np.ndarray) -> np.ndarray:
     return logits
 
 
-def _activation_deriv(activation: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    if activation == "relu":
-        return (z > 0.0).astype(np.float64)
-    return 1.0 - a * a
-
-
-def backprop_from_dlogits(
-    proto: Prototype,
-    caches: tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]],
-    dlogits: np.ndarray,
-) -> np.ndarray:
-    """Backward recurrence given d(loss)/d(logits); returns a flat gradient."""
-    layer_inputs, preacts, eff_weights = caches
-    grad = np.zeros(proto.n_params, dtype=np.float64)
-    slices = layer_slices(proto)
-    delta = dlogits
-    for l in range(proto.n_layers - 1, -1, -1):
-        w_sl, b_sl, (fan_in, fan_out) = slices[l]
-        grad[w_sl] = (layer_inputs[l].T @ delta).reshape(fan_in * fan_out)
-        grad[b_sl] = delta.sum(axis=0)
-        if l > 0:
-            da = delta @ eff_weights[l].T
-            delta = da * _activation_deriv(proto.activation, preacts[l - 1], layer_inputs[l])
-    return grad
-
-
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def binarize_ste_grad(params: ParamVector, inputs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Cross-entropy gradient through the binarized forward pass.
+    """numerics.grad("ce") through the binarized forward pass of params.
 
-    The forward uses binarized weights; the backward treats binarization as
-    identity, so the returned flat gradient applies directly to the
-    full-precision master values.
+    The backward treats binarization as identity (straight-through), so the
+    gradient applies directly to the full-precision master values.
     """
-    proto = params.prototype
-    y = np.asarray(labels)
-    logits, caches = forward_cached(proto, params.values, inputs, binarize=True)
-    batch = logits.shape[0]
-    if y.shape != (batch,):
-        raise ShapeError(f"labels must have shape ({batch},), got {y.shape}")
-    if y.min() < 0 or y.max() >= proto.n_classes:
-        raise IndexError(f"labels must lie in [0, {proto.n_classes})")
-    probs = _softmax_rows(logits)
-    probs[np.arange(batch), y] -= 1.0
-    return backprop_from_dlogits(proto, caches, probs / batch)
+    from .numerics import grad
+
+    ste = replace(params.prototype, precision="binary_ste")
+    return grad("ce", ParamVector(ste, params.values), inputs, labels=labels)
 
 
 def average_params(models: list[ParamVector], weights) -> ParamVector:
@@ -280,7 +240,10 @@ def save_params(params: ParamVector, path) -> None:
 
 
 def load_params(path, prototypes) -> ParamVector:
-    """Read a parameter vector; prototypes maps id -> Prototype (or is an iterable)."""
+    """Read a parameter vector; prototypes maps id -> Prototype (or is an iterable).
+
+    A file that is truncated or has bytes after its values raises ValueError.
+    """
     if not isinstance(prototypes, dict):
         prototypes = {p.id: p for p in prototypes}
     with open(path, "rb") as fh:
@@ -293,6 +256,8 @@ def load_params(path, prototypes) -> ParamVector:
         raw = fh.read(count * 8)
         if len(raw) != count * 8:
             raise ValueError("parameter file truncated")
+        if fh.read(1):
+            raise ValueError("parameter file has trailing bytes after its values")
         values = np.frombuffer(raw, dtype="<f8").astype(np.float64)
     if ident not in prototypes:
         raise KeyError(f"unknown prototype id {ident!r} in {path}")

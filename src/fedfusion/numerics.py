@@ -2,9 +2,10 @@
 
 Everything is float64. Probability-vector arguments must be normalized
 (checked to 1e-8) and non-negative; non-finite inputs raise instead of
-propagating. The gradient engine differentiates the full-precision forward
-pass regardless of prototype precision; binarized training goes through the
-straight-through route in the models module.
+propagating. The gradient engine follows prototype precision: a binary_ste
+prototype's forward pass uses binarized weights and the backward pass treats
+binarization as identity (straight-through estimator), so the gradient
+applies directly to the full-precision master values.
 """
 
 from __future__ import annotations
@@ -206,7 +207,8 @@ def grad(
     the distillation objective; target rows must be normalized probabilities.
     """
     proto = params.prototype
-    logits, caches = forward_cached(proto, params.values, inputs, binarize=False)
+    binarize = proto.precision == "binary_ste"
+    logits, caches = forward_cached(proto, params.values, inputs, binarize)
     batch = logits.shape[0]
     if batch == 0:
         raise ShapeError("grad needs a non-empty batch")

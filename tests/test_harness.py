@@ -338,6 +338,7 @@ class TestRunExperiment:
         rows = read_metrics(root / "seed0" / "fedavg" / "metrics.jsonl")
         assert len(rows) == cfg.rounds
         assert [r.round for r in rows] == [1, 2]
+        assert all(r.wall_ms > 0 for r in rows)
         params = load_params(root / "seed0" / "fedavg" / "final_p0.params", cfg.prototypes())
         assert params.prototype.layer_widths == (2, 8, 3)
         assert summary["schema_version"] == SCHEMA_VERSION
@@ -412,6 +413,13 @@ class TestBoundSuite:
         on_disk = json.loads((tmp_path / "bout" / "bound_reports.json").read_text())
         assert on_disk["holds"] == out["holds"]
 
+    def test_output_env_var_redirects_reports(self, tmp_path, monkeypatch):
+        override = tmp_path / "elsewhere"
+        monkeypatch.setenv(OUTPUT_ENV_VAR, str(override))
+        run_bound_suite(load_bound_config(self.write_bound(tmp_path, instances=1)))
+        assert (override / "bound_reports.json").is_file()
+        assert not (tmp_path / "bout" / "bound_reports.json").exists()
+
 
 class TestCli:
     def test_run_command_reports_and_exits_zero(self, tmp_path, capsys):
@@ -426,6 +434,17 @@ class TestCli:
         assert cli_main(["run", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:")
+
+    def test_more_clients_than_samples_exits_one(self, tmp_path, capsys):
+        # 3 classes x 10 samples leave 24 for training after the 0.2 split
+        path = write_config(
+            tmp_path / "bad.ini", per_class="per_class = 10", clients="clients = 40"
+        )
+        for command in ("run", "partition-stats"):
+            assert cli_main([command, str(path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("config error:")
+            assert "federated.clients" in err
 
     def test_partition_stats_is_deterministic(self, tmp_path, capsys):
         path = write_config(tmp_path / "exp.ini")

@@ -188,6 +188,7 @@ def test_ste_gradient_matches_engine_on_binarized_copy():
             "ce", ParamVector(full, binarize_values(proto, pv.values)), x, labels=y
         )
         assert np.abs(ste - engine).max() < 1e-12
+        assert np.array_equal(numerics.grad("ce", pv, x, labels=y), ste)
 
 
 def test_ste_training_reaches_high_accuracy():
@@ -286,3 +287,7 @@ def test_serialization_errors(tmp_path):
     garbage.write_bytes(b"JUNK" + path.read_bytes()[4:])
     with pytest.raises(ValueError):
         load_params(garbage, {proto.id: proto})
+    trailing = tmp_path / "trailing.params"
+    trailing.write_bytes(path.read_bytes() + b"garbage")
+    with pytest.raises(ValueError, match="trailing"):
+        load_params(trailing, {proto.id: proto})
