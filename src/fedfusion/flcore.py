@@ -258,19 +258,19 @@ def client_local_update(
             f"prototype {proto.id!r}"
         )
     anchor_values = (anchor if anchor is not None else start).values
+    # SGD updates the one copy in place: the same bits as opt_step's sgd rule
     params = start.copy()
-    state = numerics.OptimizerState.sgd(lr)
     n = len(shard)
     for _ in range(epochs):
         order = rng.permutation(n)
         for lo in range(0, n, batch_size):
             sel = order[lo : lo + batch_size]
-            xb = shard.inputs[sel]
-            yb = shard.labels[sel]
-            g = numerics.grad("ce", params, xb, labels=yb)
+            g = numerics.grad("ce", params, shard.inputs[sel], labels=shard.labels[sel])
             if prox_mu != 0.0:
                 g = g + prox_mu * (params.values - anchor_values)
-            params, state = numerics.opt_step(state, params, g)
+            if not np.isfinite(g).all():
+                raise ValueError("gradient contains non-finite values")
+            params.values -= lr * g
     return params
 
 

@@ -4,8 +4,10 @@ Each test prints one `[criterion NN] PASS/FAIL ...` verdict line (visible in
 the default pytest output, which runs with -s) and then asserts the gate.
 The multi-seed federated runs are the expensive part, so every (seed, alpha,
 strategy, variant) cell is computed once and cached at module level; several
-later criteria reuse the alpha=0.1 cells of the rounds-race. The whole file
-takes a few minutes on one core.
+later criteria reuse the alpha=0.1 cells of the rounds-race. Each criterion
+first computes the cells it needs two at a time in worker processes (the
+cells are pure functions of their keys, so a worker returns the same bits).
+The whole file takes a few minutes on two cores.
 
 The task recipe below was frozen after calibration and is shared by criteria
 4 through 8: a 10-class ring-of-blobs problem hard enough that naive
@@ -13,9 +15,12 @@ parameter averaging stays noisy at 40 local epochs while server-side
 distillation still converges.
 """
 
+import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
+import pytest
 
 import fedfusion as ff
 from fedfusion.data import ring_centers
@@ -47,6 +52,46 @@ RECIPE = dict(
 )
 
 _CACHE: dict = {}
+
+
+_WORKERS: list[ProcessPoolExecutor] = []
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _shut_down_workers():
+    yield
+    while _WORKERS:
+        _WORKERS.pop().shutdown()
+
+
+def parallel_map(fn, items: list) -> list:
+    """[fn(item) for item in items], run in two spawned worker processes."""
+    if len(items) < 2:
+        return [fn(item) for item in items]
+    if not _WORKERS:
+        ctx = multiprocessing.get_context("spawn")
+        _WORKERS.append(ProcessPoolExecutor(max_workers=2, mp_context=ctx))
+    return list(_WORKERS[0].map(fn, items))
+
+
+def arm(seed, alpha, strategy, epochs=40, init_mode="from_average", pool="heldout") -> tuple:
+    """Cache key of race_records with the same arguments."""
+    return ("records", seed, alpha, strategy, epochs, init_mode, pool)
+
+
+def _compute_cell(key: tuple):
+    kind, *args = key
+    return race_records(*args) if kind == "records" else race_target(*args)
+
+
+def prefetch(keys: list[tuple]) -> None:
+    """Fill the cache for keys: ("target", seed, alpha) or
+    ("records", seed, alpha, strategy, epochs, init_mode, pool)."""
+    todo = {k for k in keys if k not in _CACHE}
+    # distillation arms take the longest, so they go first
+    todo = sorted(todo, key=lambda k: (k[0] != "records" or k[3] != "feddf", k))
+    for key, value in zip(todo, parallel_map(_compute_cell, todo)):
+        _CACHE[key] = value
 
 
 def verdict(num: int, ok: bool, detail: str) -> None:
@@ -88,7 +133,7 @@ def race_records(
     pool: str = "heldout",
 ):
     """Round records for one frozen-recipe arm, cached across tests."""
-    key = ("records", seed, alpha, strategy, epochs, init_mode, pool)
+    key = arm(seed, alpha, strategy, epochs, init_mode, pool)
     if key not in _CACHE:
         p = RECIPE
         centers, train, val, shards, proto = race_task(seed, alpha)
@@ -272,8 +317,13 @@ def test_criterion_03_one_shot_fusion_sharpens_blurred_average():
 
 def test_criterion_04_fewer_rounds_to_target():
     tic = time.perf_counter()
+    alphas = (ALPHA_MILD, ALPHA_SKEWED)
+    prefetch(
+        [arm(s, a, st) for a in alphas for s in SEEDS for st in ("fedavg", "feddf")]
+        + [("target", s, a) for a in alphas for s in SEEDS]
+    )
     wins = {}
-    for alpha in (ALPHA_MILD, ALPHA_SKEWED):
+    for alpha in alphas:
         n = 0
         for seed in SEEDS:
             target = race_target(seed, alpha)
@@ -294,6 +344,9 @@ def test_criterion_04_fewer_rounds_to_target():
 
 
 def test_criterion_05_margin_survives_heavy_local_work():
+    prefetch(
+        [arm(s, ALPHA_SKEWED, st, e) for e in (20, 40) for s in SEEDS for st in ("fedavg", "feddf")]
+    )
     gaps = {}
     for epochs in (20, 40):
         per_seed = [
@@ -311,48 +364,57 @@ def test_criterion_05_margin_survives_heavy_local_work():
     )
 
 
-def test_criterion_06_heterogeneous_fusion_lifts_every_prototype():
+def hetero_margins(seed: int) -> tuple[list[float], list[int]]:
+    """Per family: mean fused minus mean group-average accuracy, and rounds fused."""
     p = RECIPE
     margins = []
     rounds_seen = []
-    for seed in SEEDS:
-        centers, train, val, shards, _ = race_task(seed, ALPHA_MILD)
-        protos = [
-            ff.Prototype(f"p{i}", (2,) + w + (p["classes"],))
-            for i, w in enumerate([(32, 32), (48, 48), (64,)])
+    centers, train, val, shards, _ = race_task(seed, ALPHA_MILD)
+    protos = [
+        ff.Prototype(f"p{i}", (2,) + w + (p["classes"],))
+        for i, w in enumerate([(32, 32), (48, 48), (64,)])
+    ]
+    cmap = [protos[k % 3].id for k in range(p["clients"])]
+    distill = ff.DistillConfig(
+        max_steps=p["distill_steps"],
+        patience=p["distill_patience"],
+        pool=race_pool("heldout", centers, seed),
+        init_mode="from_average",
+    )
+    cfg = ff.FLConfig(
+        rounds=5,
+        client_count=p["clients"],
+        participation=p["participation"],
+        local_epochs=p["local_epochs"],
+        local_lr=p["local_lr"],
+        local_batch=p["local_batch"],
+        strategy="feddf_hetero",
+        seed=seed,
+        distill=distill,
+    )
+    _, recs = ff.run_training(cfg, shards, val, protos, client_prototypes=cmap)
+    for proto in protos:
+        fused = [
+            r.per_prototype[proto.id]["acc_fused"]
+            for r in recs
+            if proto.id in r.per_prototype
         ]
-        cmap = [protos[k % 3].id for k in range(p["clients"])]
-        distill = ff.DistillConfig(
-            max_steps=p["distill_steps"],
-            patience=p["distill_patience"],
-            pool=race_pool("heldout", centers, seed),
-            init_mode="from_average",
-        )
-        cfg = ff.FLConfig(
-            rounds=5,
-            client_count=p["clients"],
-            participation=p["participation"],
-            local_epochs=p["local_epochs"],
-            local_lr=p["local_lr"],
-            local_batch=p["local_batch"],
-            strategy="feddf_hetero",
-            seed=seed,
-            distill=distill,
-        )
-        _, recs = ff.run_training(cfg, shards, val, protos, client_prototypes=cmap)
-        for proto in protos:
-            fused = [
-                r.per_prototype[proto.id]["acc_fused"]
-                for r in recs
-                if proto.id in r.per_prototype
-            ]
-            avg = [
-                r.per_prototype[proto.id]["acc_averaged"]
-                for r in recs
-                if proto.id in r.per_prototype
-            ]
-            rounds_seen.append(len(fused))
-            margins.append(float(np.mean(fused) - np.mean(avg)))
+        avg = [
+            r.per_prototype[proto.id]["acc_averaged"]
+            for r in recs
+            if proto.id in r.per_prototype
+        ]
+        rounds_seen.append(len(fused))
+        margins.append(float(np.mean(fused) - np.mean(avg)))
+    return margins, rounds_seen
+
+
+def test_criterion_06_heterogeneous_fusion_lifts_every_prototype():
+    margins = []
+    rounds_seen = []
+    for seed_margins, seed_rounds in parallel_map(hetero_margins, list(SEEDS)):
+        margins += seed_margins
+        rounds_seen += seed_rounds
     ok = min(rounds_seen) >= 3 and all(m >= 0.0 for m in margins)
     verdict(
         6,
@@ -365,6 +427,8 @@ def test_criterion_06_heterogeneous_fusion_lifts_every_prototype():
 
 
 def test_criterion_07_student_init_from_fresh_average_wins():
+    modes = ("from_average", "from_previous")
+    prefetch([arm(s, ALPHA_SKEWED, "feddf", init_mode=m) for m in modes for s in SEEDS])
     fa = float(
         np.mean(
             [
@@ -391,6 +455,8 @@ def test_criterion_07_student_init_from_fresh_average_wins():
 
 
 def test_criterion_08_noise_pool_matches_heldout_pool():
+    kinds = ("heldout", "gaussian_noise", "uniform_noise")
+    prefetch([arm(s, ALPHA_SKEWED, "feddf", pool=k) for k in kinds for s in SEEDS])
     means = {
         kind: float(
             np.mean(
@@ -400,7 +466,7 @@ def test_criterion_08_noise_pool_matches_heldout_pool():
                 ]
             )
         )
-        for kind in ("heldout", "gaussian_noise", "uniform_noise")
+        for kind in kinds
     }
     diff = abs(means["heldout"] - means["gaussian_noise"])
     verdict(
