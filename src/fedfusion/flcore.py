@@ -38,11 +38,9 @@ from .models import (
     ParamVector,
     Prototype,
     average_params,
-    binarize_layer,
     binarize_values,
     init_params,
     predict_logits,
-    unflatten,
 )
 
 STRATEGIES = ("fedavg", "fedprox", "fedavgm", "feddf", "feddf_hetero")
@@ -260,19 +258,19 @@ def client_local_update(
             f"prototype {proto.id!r}"
         )
     anchor_values = (anchor if anchor is not None else start).values
-    # SGD updates the one copy in place: the same bits as opt_step's sgd rule
     params = start.copy()
+    state = numerics.OptimizerState.sgd(lr)
     n = len(shard)
     for _ in range(epochs):
         order = rng.permutation(n)
         for lo in range(0, n, batch_size):
             sel = order[lo : lo + batch_size]
-            g = numerics.grad("ce", params, shard.inputs[sel], labels=shard.labels[sel])
+            xb = shard.inputs[sel]
+            yb = shard.labels[sel]
+            g = numerics.grad("ce", params, xb, labels=yb)
             if prox_mu != 0.0:
                 g = g + prox_mu * (params.values - anchor_values)
-            if not np.isfinite(g).all():
-                raise ValueError("gradient contains non-finite values")
-            params.values -= lr * g
+            params, state = numerics.opt_step(state, params, g)
     return params
 
 
@@ -306,48 +304,6 @@ def ensemble_logits(teachers: list[ParamVector], inputs: np.ndarray) -> np.ndarr
         raise ShapeError(f"teachers disagree on class count: {sorted(classes)}")
     stack = np.stack([predict_logits(t, inputs) for t in teachers])
     return stack.mean(axis=0)
-
-
-def fixed_teacher_logits(teachers: list[ParamVector], rows: int):
-    """ensemble_logits(teachers, x) as a function of x, for (rows, inputs) batches.
-
-    Each prototype's teachers run as one stacked pass into buffers made once,
-    because fresh (teachers, rows, width) temporaries cost more than the
-    arithmetic. Every slice of a stacked matmul is the 2-D product, so the
-    result has the bits of ensemble_logits, which stays the reference.
-    """
-    classes = {t.prototype.n_classes for t in teachers}
-    if len(classes) != 1:
-        raise ShapeError(f"teachers disagree on class count: {sorted(classes)}")
-    groups: dict[Prototype, list[int]] = {}
-    for i, t in enumerate(teachers):
-        groups.setdefault(t.prototype, []).append(i)
-    stacks = []
-    for proto, idx in groups.items():
-        binary = proto.precision == "binary_ste"
-        views = [unflatten(proto, teachers[i].values) for i in idx]
-        layers = []
-        for l in range(proto.n_layers):
-            w = np.stack([binarize_layer(v[l][0]) if binary else v[l][0] for v in views])
-            b = np.stack([v[l][1] for v in views])[:, None, :]
-            layers.append((w, b, np.empty((len(idx), rows, w.shape[-1]))))
-        stacks.append((proto, idx, layers))
-    logits = np.empty((len(teachers), rows, classes.pop()))
-
-    def teacher_logits(x: np.ndarray) -> np.ndarray:
-        if not np.isfinite(x).all():
-            raise ValueError("inputs contain non-finite values")
-        for proto, idx, layers in stacks:
-            a = x
-            for l, (w, b, out) in enumerate(layers):
-                z = np.matmul(a, w, out=out)
-                z += b
-                if l < proto.n_layers - 1:
-                    a = np.maximum(z, 0.0, out=z) if proto.activation == "relu" else np.tanh(z, out=z)
-            logits[idx] = z
-        return logits.mean(axis=0)
-
-    return teacher_logits
 
 
 def ensemble_accuracy(teachers: list[ParamVector], dataset: Dataset) -> float:
@@ -394,10 +350,9 @@ def feddf_fuse(
     best_acc = top1_accuracy(student, val)
     best_step = 0
     steps = 0
-    teacher_logits = fixed_teacher_logits(teachers, cfg.pool.batch_size)
     for _ in range(cfg.max_steps):
         batch = sample_distill_batch(cfg.pool, rng)
-        targets = numerics.softmax(teacher_logits(batch))
+        targets = numerics.softmax(ensemble_logits(teachers, batch))
         g = numerics.grad("kl_vs_target", student, batch, target_probs=targets)
         student, opt = numerics.opt_step(opt, student, g)
         steps += 1

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -62,7 +61,7 @@ class Prototype:
 
     @property
     def n_params(self) -> int:
-        return layer_slices(self)[-1][1].stop
+        return sum(a * b + b for a, b in zip(self.layer_widths, self.layer_widths[1:]))
 
 
 @dataclass
@@ -91,9 +90,8 @@ class ParamVector:
         return ParamVector(self.prototype, self.values.copy())
 
 
-@lru_cache(maxsize=None)
-def layer_slices(proto: Prototype) -> tuple[tuple[slice, slice, tuple[int, int]], ...]:
-    """Per-layer (weight_slice, bias_slice, (fan_in, fan_out)), computed once per prototype."""
+def layer_slices(proto: Prototype) -> list[tuple[slice, slice, tuple[int, int]]]:
+    """Per-layer (weight_slice, bias_slice, (fan_in, fan_out)) into the flat vector."""
     out = []
     pos = 0
     for fan_in, fan_out in zip(proto.layer_widths, proto.layer_widths[1:]):
@@ -102,7 +100,7 @@ def layer_slices(proto: Prototype) -> tuple[tuple[slice, slice, tuple[int, int]]
         b_sl = slice(pos, pos + fan_out)
         pos += fan_out
         out.append((w_sl, b_sl, (fan_in, fan_out)))
-    return tuple(out)
+    return out
 
 
 def unflatten(proto: Prototype, values: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -221,7 +221,7 @@ def grad(
             raise ShapeError(f"labels must have shape ({batch},), got {y.shape}")
         if y.min() < 0 or y.max() >= proto.n_classes:
             raise IndexError(f"labels must lie in [0, {proto.n_classes})")
-        dlogits = probs  # softmax returned a fresh array
+        dlogits = probs.copy()
         dlogits[np.arange(batch), y] -= 1.0
         dlogits /= batch
     elif loss_kind == "kl_vs_target":

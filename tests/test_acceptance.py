@@ -7,7 +7,9 @@ strategy, variant) cell is computed once and cached at module level; several
 later criteria reuse the alpha=0.1 cells of the rounds-race. Each criterion
 first computes the cells it needs two at a time in worker processes (the
 cells are pure functions of their keys, so a worker returns the same bits).
-The whole file takes a few minutes on two cores.
+Criterion 04's time gate sums the cells' own compute times, so it bounds the
+serial work, not the wall time of the workers. The whole file takes a few
+minutes on two cores.
 
 The task recipe below was frozen after calibration and is shared by criteria
 4 through 8: a 10-class ring-of-blobs problem hard enough that naive
@@ -79,19 +81,29 @@ def arm(seed, alpha, strategy, epochs=40, init_mode="from_average", pool="heldou
     return ("records", seed, alpha, strategy, epochs, init_mode, pool)
 
 
-def _compute_cell(key: tuple):
+def _compute_cell(key: tuple) -> tuple:
+    """(value, seconds) of one cell, timed in the process that computes it."""
+    tic = time.perf_counter()
     kind, *args = key
-    return race_records(*args) if kind == "records" else race_target(*args)
+    value = race_records(*args) if kind == "records" else race_target(*args)
+    return value, time.perf_counter() - tic
 
 
-def prefetch(keys: list[tuple]) -> None:
+def prefetch(keys: list[tuple]) -> float:
     """Fill the cache for keys: ("target", seed, alpha) or
-    ("records", seed, alpha, strategy, epochs, init_mode, pool)."""
+    ("records", seed, alpha, strategy, epochs, init_mode, pool).
+
+    Returns the summed compute time of the cells it filled, which is what
+    computing them one after another would take, however many workers ran.
+    """
     todo = {k for k in keys if k not in _CACHE}
     # distillation arms take the longest, so they go first
     todo = sorted(todo, key=lambda k: (k[0] != "records" or k[3] != "feddf", k))
-    for key, value in zip(todo, parallel_map(_compute_cell, todo)):
+    serial_s = 0.0
+    for key, (value, seconds) in zip(todo, parallel_map(_compute_cell, todo)):
         _CACHE[key] = value
+        serial_s += seconds
+    return serial_s
 
 
 def verdict(num: int, ok: bool, detail: str) -> None:
@@ -316,12 +328,14 @@ def test_criterion_03_one_shot_fusion_sharpens_blurred_average():
 
 
 def test_criterion_04_fewer_rounds_to_target():
-    tic = time.perf_counter()
+    # the time gate covers the serial work: each cell's own compute time,
+    # summed, plus the loop below, not the wall time of the parallel workers
     alphas = (ALPHA_MILD, ALPHA_SKEWED)
-    prefetch(
+    serial_s = prefetch(
         [arm(s, a, st) for a in alphas for s in SEEDS for st in ("fedavg", "feddf")]
         + [("target", s, a) for a in alphas for s in SEEDS]
     )
+    tic = time.perf_counter()
     wins = {}
     for alpha in alphas:
         n = 0
@@ -331,7 +345,7 @@ def test_criterion_04_fewer_rounds_to_target():
             r_df = rounds_to_target(race_records(seed, alpha, "feddf"), target)
             n += (r_df is not None) and (r_avg is None or r_df < r_avg)
         wins[alpha] = n
-    elapsed = time.perf_counter() - tic
+    elapsed = serial_s + time.perf_counter() - tic
     ok = all(n >= 8 for n in wins.values()) and elapsed < 900.0
     verdict(
         4,

@@ -16,7 +16,6 @@ from fedfusion.flcore import (
     ensemble_accuracy,
     ensemble_logits,
     feddf_fuse,
-    fixed_teacher_logits,
     run_training,
     sample_clients,
     sampling_rng,
@@ -144,24 +143,6 @@ def test_ensemble_logits_is_mean_of_logits():
     assert np.abs(ensemble_logits(models, x) - expect).max() < 1e-12
     solo = ensemble_logits([models[0]], x)
     assert np.array_equal(solo, predict_logits(models[0], x))
-
-
-def test_fixed_teacher_logits_bitwise_equal_ensemble_logits():
-    rng = np.random.default_rng(4)
-    protos = [
-        Prototype("a", (2, 8, 3)),
-        Prototype("b", (2, 6, 5, 3), "tanh"),
-        Prototype("c", (2, 7, 3), precision="binary_ste"),
-    ]
-    teachers = [init_params(protos[k % 3], k) for k in (0, 1, 2, 3, 5, 4, 6)]
-    forward = fixed_teacher_logits(teachers, 9)
-    for _ in range(3):
-        x = rng.normal(scale=2.0, size=(9, 2))
-        assert np.array_equal(forward(x), ensemble_logits(teachers, x))
-    with pytest.raises(ValueError):
-        forward(np.full((9, 2), np.nan))
-    with pytest.raises(ShapeError):
-        fixed_teacher_logits([teachers[0], init_params(Prototype("d", (2, 4, 4)), 0)], 9)
 
 
 def test_ensemble_rejects_mismatched_heads():
