@@ -167,7 +167,8 @@ class DistillPool:
 
     Kinds: "heldout" draws without replacement from a fixed input matrix,
     reshuffling at each epoch boundary; "uniform_noise" and "gaussian_noise"
-    synthesize fresh inputs per call. Pools never carry labels.
+    synthesize fresh inputs per call. Pools never carry labels. A heldout
+    pool's input matrix is `inputs`; noise pools have none (None).
     """
 
     def __init__(self, kind: str, batch_size: int, *, inputs=None, dim=None, low=None, high=None):
@@ -179,6 +180,7 @@ class DistillPool:
         self.batch_size = int(batch_size)
         self._pos = 0
         self._order: np.ndarray | None = None
+        self._inputs: np.ndarray | None = None
         if kind == "heldout":
             x = np.ascontiguousarray(inputs, dtype=np.float64)
             if x.ndim != 2 or x.shape[0] < 1:
@@ -211,10 +213,37 @@ class DistillPool:
     def dim(self) -> int:
         return self._dim
 
+    @property
+    def inputs(self) -> np.ndarray | None:
+        return self._inputs
+
     def reset(self) -> None:
         """Forget the without-replacement cursor (next draw starts a fresh epoch)."""
         self._order = None
         self._pos = 0
+
+
+def sample_distill_rows(pool: DistillPool, rng: np.random.Generator) -> np.ndarray:
+    """Row indices into a heldout pool's inputs for its next batch.
+
+    Draws without replacement, reshuffling at each epoch boundary; a batch
+    that crosses the boundary takes the rest of one epoch and the start of
+    the next.
+    """
+    if pool.kind != "heldout":
+        raise ValueError(f"{pool.kind} pools have no rows to sample")
+    parts = []
+    need = pool.batch_size
+    n = pool.inputs.shape[0]
+    while need > 0:
+        if pool._order is None or pool._pos >= n:
+            pool._order = rng.permutation(n)
+            pool._pos = 0
+        take = min(n - pool._pos, need)
+        parts.append(pool._order[pool._pos : pool._pos + take])
+        pool._pos += take
+        need -= take
+    return np.concatenate(parts)
 
 
 def sample_distill_batch(pool: DistillPool, rng: np.random.Generator) -> np.ndarray:
@@ -224,18 +253,7 @@ def sample_distill_batch(pool: DistillPool, rng: np.random.Generator) -> np.ndar
         return rng.uniform(pool._low, pool._high, size=(b, pool.dim))
     if pool.kind == "gaussian_noise":
         return rng.standard_normal(size=(b, pool.dim))
-    rows = []
-    need = b
-    n = pool._inputs.shape[0]
-    while need > 0:
-        if pool._order is None or pool._pos >= n:
-            pool._order = rng.permutation(n)
-            pool._pos = 0
-        take = min(n - pool._pos, need)
-        rows.append(pool._inputs[pool._order[pool._pos : pool._pos + take]])
-        pool._pos += take
-        need -= take
-    return np.concatenate(rows, axis=0)
+    return pool.inputs[sample_distill_rows(pool, rng)]
 
 
 def split_train_val(dataset: Dataset, val_fraction: float, seed: int) -> tuple[Dataset, Dataset]:

@@ -16,7 +16,14 @@ feddf_hetero  feddf across several model prototypes: each prototype's student
 All five strategies share one round loop, run_round, which applies the
 strategy to each prototype group's average of surviving clients.
 run_training stamps each RoundRecord with the round's wall time (wall_ms);
-per-prototype accuracies are recorded for feddf_hetero only.
+per-prototype accuracies are recorded for feddf_hetero only. Each sampled
+model's validation logits are computed once per round; the drop filter and
+the ensemble accuracy are both read from them.
+
+The teachers are fixed while one fusion runs, so with a heldout pool
+feddf_fuse computes their softmax targets once, over the whole pool, and
+gathers each batch's rows from them. Noise pools have no fixed rows and
+run the teachers on every batch.
 
 Determinism: every random stream is derived from (seed, stream tag, round,
 client), never from call order, so thread-parallel client execution is
@@ -33,7 +40,7 @@ import numpy as np
 
 from ._errors import ConfigError, ShapeError
 from . import numerics
-from .data import Dataset, DistillPool, sample_distill_batch
+from .data import Dataset, DistillPool, sample_distill_batch, sample_distill_rows
 from .models import (
     ParamVector,
     Prototype,
@@ -225,7 +232,10 @@ def top1_accuracy(params: ParamVector, dataset: Dataset) -> float:
             f"dataset has {dataset.class_count} classes, prototype expects "
             f"{params.prototype.n_classes}"
         )
-    logits = predict_logits(params, dataset.inputs)
+    return _accuracy(predict_logits(params, dataset.inputs), dataset)
+
+
+def _accuracy(logits: np.ndarray, dataset: Dataset) -> float:
     preds = np.argmax(logits, axis=1)
     return float((preds == dataset.labels).mean())
 
@@ -274,10 +284,9 @@ def client_local_update(
     return params
 
 
-def _kept_indices(models: list[ParamVector], val: Dataset, threshold: float | None) -> list[int]:
+def _kept_indices(accs: list[float], threshold: float | None) -> list[int]:
     if threshold is None:
-        return list(range(len(models)))
-    accs = [top1_accuracy(m, val) for m in models]
+        return list(range(len(accs)))
     kept = [i for i, a in enumerate(accs) if a > threshold]
     if not kept:
         kept = [int(np.argmax(accs))]
@@ -292,7 +301,8 @@ def drop_worst(models: list[ParamVector], val: Dataset, threshold: float) -> lis
     """
     if not models:
         raise ValueError("drop_worst needs at least one model")
-    return [models[i] for i in _kept_indices(models, val, threshold)]
+    accs = [top1_accuracy(m, val) for m in models]
+    return [models[i] for i in _kept_indices(accs, threshold)]
 
 
 def ensemble_logits(teachers: list[ParamVector], inputs: np.ndarray) -> np.ndarray:
@@ -302,14 +312,15 @@ def ensemble_logits(teachers: list[ParamVector], inputs: np.ndarray) -> np.ndarr
     classes = {t.prototype.n_classes for t in teachers}
     if len(classes) != 1:
         raise ShapeError(f"teachers disagree on class count: {sorted(classes)}")
-    stack = np.stack([predict_logits(t, inputs) for t in teachers])
-    return stack.mean(axis=0)
+    return _mean_logits([predict_logits(t, inputs) for t in teachers])
+
+
+def _mean_logits(logits: list[np.ndarray]) -> np.ndarray:
+    return np.stack(logits).mean(axis=0)
 
 
 def ensemble_accuracy(teachers: list[ParamVector], dataset: Dataset) -> float:
-    logits = ensemble_logits(teachers, dataset.inputs)
-    preds = np.argmax(logits, axis=1)
-    return float((preds == dataset.labels).mean())
+    return _accuracy(ensemble_logits(teachers, dataset.inputs), dataset)
 
 
 def _full_precision_twin(proto: Prototype) -> Prototype:
@@ -333,6 +344,15 @@ def feddf_fuse(
     Returns (best snapshot, steps actually taken). Binarized prototypes are
     trained and scored as their full-precision twin; the returned vector is
     re-bound to the original prototype as its master values.
+
+    A heldout pool's targets come from one ensemble pass over all its rows,
+    made before the first step; each step gathers its batch's rows from
+    them. Noise pools run the ensemble on every batch. The cached targets
+    equal the per-batch ones bitwise when the pool and batch row counts are
+    both multiples of 4 (every shipped config). For other row counts BLAS
+    may block the teachers' matmuls differently: over 1,400 random pool and
+    batch sizes on x86_64 OpenBLAS, a target probability moved by at most
+    4.4e-16.
     """
     if not teachers:
         raise ValueError("feddf_fuse needs at least one teacher")
@@ -350,9 +370,17 @@ def feddf_fuse(
     best_acc = top1_accuracy(student, val)
     best_step = 0
     steps = 0
+    pool = cfg.pool
+    if pool.kind == "heldout":
+        pool_targets = numerics.softmax(ensemble_logits(teachers, pool.inputs))
     for _ in range(cfg.max_steps):
-        batch = sample_distill_batch(cfg.pool, rng)
-        targets = numerics.softmax(ensemble_logits(teachers, batch))
+        if pool.kind == "heldout":
+            rows = sample_distill_rows(pool, rng)
+            batch = pool.inputs[rows]
+            targets = pool_targets[rows]
+        else:
+            batch = sample_distill_batch(pool, rng)
+            targets = numerics.softmax(ensemble_logits(teachers, batch))
         g = numerics.grad("kl_vs_target", student, batch, target_probs=targets)
         student, opt = numerics.opt_step(opt, student, g)
         steps += 1
@@ -379,16 +407,19 @@ def _train_sampled(
 
     def train_one(k: int) -> ParamVector:
         start = starts[k]
-        trained = client_local_update(
-            start,
-            shards[k],
-            cfg.local_epochs,
-            cfg.local_lr,
-            cfg.local_batch,
-            client_rng(cfg.seed, t, k),
-            prox_mu=mu,
-            anchor=start,
-        )
+        try:
+            trained = client_local_update(
+                start,
+                shards[k],
+                cfg.local_epochs,
+                cfg.local_lr,
+                cfg.local_batch,
+                client_rng(cfg.seed, t, k),
+                prox_mu=mu,
+                anchor=start,
+            )
+        except ValueError as e:  # e.g. a diverging client's non-finite loss
+            raise type(e)(f"round {t}, client {k}: {e}") from e
         if start.prototype.precision == "binary_ste":
             # clients transmit the binarized copy, not the master values
             trained = ParamVector(start.prototype, binarize_values(start.prototype, trained.values))
@@ -444,11 +475,12 @@ def run_round(
     ids = sample_clients(cfg.client_count, cfg.participation, sampling_rng(cfg.seed, t))
     starts = {int(k): state.params[client_prototypes[int(k)]] for k in ids}
     trained = _train_sampled(cfg, state, shards, starts, ids, parallel)
-    kept_idx = _kept_indices(trained, val, cfg.drop_threshold)
+    val_logits = [predict_logits(m, val.inputs) for m in trained]
+    kept_idx = _kept_indices([_accuracy(z, val) for z in val_logits], cfg.drop_threshold)
     kept_ids = [int(ids[i]) for i in kept_idx]
     kept_models = [trained[i] for i in kept_idx]
     dropped = [int(k) for k in ids if int(k) not in set(kept_ids)]
-    acc_ens = ensemble_accuracy(kept_models, val)
+    acc_ens = _accuracy(_mean_logits([val_logits[i] for i in kept_idx]), val)
     prng = pool_rng(cfg.seed, t)
     new_params = dict(state.params)
     velocity = dict(state.velocity)

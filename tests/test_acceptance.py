@@ -29,6 +29,8 @@ from fedfusion.data import ring_centers
 from fedfusion.harness import rounds_to_target
 from helpers import ce_at, fd_grad, kl_at, max_rel_err, random_case
 
+pytestmark = pytest.mark.acceptance
+
 SEEDS = tuple(range(10))
 ALPHA_MILD = 1.0
 ALPHA_SKEWED = 0.1

@@ -16,6 +16,7 @@ from fedfusion.data import (
     make_gaussian_blobs,
     ring_centers,
     sample_distill_batch,
+    sample_distill_rows,
     save_dataset,
     split_train_val,
 )
@@ -167,6 +168,26 @@ def test_heldout_pool_reset_restarts_the_epoch():
     pool.reset()
     again = sample_distill_batch(pool, np.random.default_rng(0))
     assert np.array_equal(first, again)
+
+
+def test_heldout_rows_gather_to_the_same_batches():
+    inputs = np.arange(20.0).reshape(10, 2)
+    by_rows, by_batch = DistillPool.heldout(inputs, 4), DistillPool.heldout(inputs, 4)
+    rng_rows, rng_batch = np.random.default_rng(3), np.random.default_rng(3)
+    for _ in range(7):  # batches of 4 from 10 rows cross every epoch boundary
+        rows = sample_distill_rows(by_rows, rng_rows)
+        assert rows.shape == (4,)
+        assert np.array_equal(by_rows.inputs[rows], sample_distill_batch(by_batch, rng_batch))
+    assert rng_rows.bit_generator.state == rng_batch.bit_generator.state
+
+
+def test_only_heldout_pools_have_rows():
+    inputs = np.arange(20.0).reshape(10, 2)
+    assert np.array_equal(DistillPool.heldout(inputs, 4).inputs, inputs)
+    for pool in (DistillPool.uniform_noise(-1.0, 1.0, 2, 4), DistillPool.gaussian_noise(2, 4)):
+        assert pool.inputs is None
+        with pytest.raises(ValueError):
+            sample_distill_rows(pool, np.random.default_rng(0))
 
 
 def test_pools_expose_no_labels():

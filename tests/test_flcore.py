@@ -5,7 +5,7 @@ import pytest
 
 import fedfusion as ff
 from fedfusion._errors import ConfigError, ShapeError
-from fedfusion import numerics
+from fedfusion import flcore, numerics
 from fedfusion.models import ParamVector, Prototype, init_params, predict_logits
 from fedfusion.flcore import (
     DistillConfig,
@@ -16,6 +16,7 @@ from fedfusion.flcore import (
     ensemble_accuracy,
     ensemble_logits,
     feddf_fuse,
+    run_round,
     run_training,
     sample_clients,
     sampling_rng,
@@ -185,6 +186,97 @@ def test_feddf_fuse_early_stops_on_plateau():
     cfg = DistillConfig(max_steps=500, patience=10, pool=uniform_pool())
     _, steps = feddf_fuse(teachers, init, cfg, val, np.random.default_rng(0))
     assert steps < 500
+
+
+def fused_targets(monkeypatch, teachers, init, cfg, val):
+    """(batch, target probabilities) of every step feddf_fuse takes."""
+    seen = []
+    real_grad = numerics.grad
+
+    def spy(loss_kind, params, inputs, **kw):
+        seen.append((inputs, kw["target_probs"]))
+        return real_grad(loss_kind, params, inputs, **kw)
+
+    monkeypatch.setattr(numerics, "grad", spy)
+    _, steps = feddf_fuse(teachers, init, cfg, val, np.random.default_rng(0))
+    assert len(seen) == steps
+    return seen
+
+
+@pytest.mark.parametrize(
+    "widths, pool_rows, batch",
+    [((2, 32, 32, 10), 512, 128), ((2, 48, 48, 10), 512, 128), ((2, 64, 10), 512, 128),
+     ((2, 32, 3), 256, 64)],
+)
+def test_heldout_targets_equal_per_batch_targets_bitwise(monkeypatch, widths, pool_rows, batch):
+    proto = Prototype("p", widths)
+    teachers = [init_params(proto, s) for s in range(3)]
+    val = ff.make_gaussian_blobs(widths[-1], 10, None, 0.5, seed=1)
+    pool = ff.DistillPool.heldout(np.random.default_rng(2).normal(scale=2.5, size=(pool_rows, 2)), batch)
+    cfg = DistillConfig(max_steps=9, patience=9, pool=pool)  # 9 batches cross two epoch boundaries
+    for inputs, targets in fused_targets(monkeypatch, teachers, init_params(proto, 7), cfg, val):
+        assert np.array_equal(targets, numerics.softmax(ensemble_logits(teachers, inputs)))
+
+
+def test_heldout_targets_match_per_batch_targets_at_any_row_count(monkeypatch):
+    rng = np.random.default_rng(5)
+    val = ff.make_gaussian_blobs(3, 10, None, 0.5, seed=1)
+    for trial in range(12):
+        protos = [Prototype(f"p{w}", (2, w, 3)) for w in (5, 16, 33)]
+        teachers = [init_params(p, trial) for p in protos]
+        rows, batch = 4 * int(rng.integers(1, 60)) + int(rng.integers(1, 4)), 0
+        while batch % 4 == 0:
+            batch = int(rng.integers(1, rows + 1))
+        pool = ff.DistillPool.heldout(rng.normal(scale=2.5, size=(rows, 2)), batch)
+        cfg = DistillConfig(max_steps=5, patience=5, pool=pool)
+        for inputs, targets in fused_targets(monkeypatch, teachers, init_params(protos[0], 9), cfg, val):
+            expect = numerics.softmax(ensemble_logits(teachers, inputs))
+            np.testing.assert_allclose(targets, expect, rtol=0.0, atol=1e-14)
+
+
+def test_heldout_fusion_runs_the_teachers_once(monkeypatch):
+    _, val, _, proto = small_task()
+    teachers = [init_params(proto, s) for s in range(3)]
+    calls = []
+    real = flcore.ensemble_logits
+    monkeypatch.setattr(
+        flcore, "ensemble_logits", lambda ts, x: calls.append(x.shape[0]) or real(ts, x)
+    )
+    pool_inputs = np.random.default_rng(0).normal(size=(40, 2))
+    for max_steps in (1, 7, 30):
+        calls.clear()
+        cfg = DistillConfig(max_steps, max_steps, ff.DistillPool.heldout(pool_inputs, 16))
+        _, steps = feddf_fuse(teachers, init_params(proto, 9), cfg, val, np.random.default_rng(0))
+        assert steps == max_steps and calls == [40]
+        calls.clear()
+        cfg = DistillConfig(max_steps, max_steps, uniform_pool(16))
+        _, steps = feddf_fuse(teachers, init_params(proto, 9), cfg, val, np.random.default_rng(0))
+        assert steps == max_steps and calls == [16] * max_steps
+
+
+def test_drop_filter_reuses_the_validation_forwards(monkeypatch):
+    _, val, shards, proto = small_task()
+    cfg = small_cfg("fedavg", rounds=1, drop_threshold=0.7)
+    calls = []
+    real = flcore.predict_logits
+    monkeypatch.setattr(flcore, "predict_logits", lambda p, x: calls.append(1) or real(p, x))
+    cap = {}
+    _, rec = run_round(ServerState.initialize([proto], 0), cfg, shards, val, capture=cap)
+    assert rec.dropped and len(rec.dropped) < len(rec.sampled)
+    assert len(calls) == len(rec.sampled) + 1  # every sampled model once, plus the average
+    kept = [m for k, m in cap["client_models"].items() if k not in rec.dropped]
+    assert rec.acc_ensemble == ensemble_accuracy(kept, val)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("parallel", [False, True])
+def test_diverging_client_error_names_round_and_client(parallel):
+    _, val, shards, proto = small_task()
+    cfg = small_cfg("fedavg", local_lr=1e200)
+    with pytest.raises(ValueError, match=r"^round 1, client \d+: ") as info:
+        run_training(cfg, shards, val, [proto], parallel=parallel)
+    assert type(info.value) is ValueError and isinstance(info.value.__cause__, ValueError)
+    assert str(info.value).endswith(str(info.value.__cause__))
 
 
 def test_distill_config_validation():

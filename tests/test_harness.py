@@ -1,8 +1,10 @@
 """Tests for the experiment harness: configs, metrics files, grids, CLI."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -457,10 +459,13 @@ class TestCli:
         assert (tmp_path / "out" / "partition_stats_seed0.json").is_file()
 
     def test_module_entry_point(self, tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "fedfusion", "run", str(tmp_path / "missing.ini")],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 1
         assert proc.stderr.startswith("config error:")
