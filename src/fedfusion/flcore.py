@@ -44,10 +44,12 @@ from .data import Dataset, DistillPool, sample_distill_batch, sample_distill_row
 from .models import (
     ParamVector,
     Prototype,
+    _forward,
     average_params,
     binarize_values,
     init_params,
     predict_logits,
+    unflatten,
 )
 
 STRATEGIES = ("fedavg", "fedprox", "fedavgm", "feddf", "feddf_hetero")
@@ -256,6 +258,16 @@ def client_local_update(
     start); mu = 0 takes the untouched SGD path. Binary prototypes train
     through the straight-through estimator. epochs = 0 returns start's values
     unchanged.
+
+    Checked once per call: the arguments, that the shard fits the prototype,
+    and that the shard's inputs are finite and its labels in range. Checked
+    every step: the logits (ValueError "softmax input contains non-finite
+    values") and the gradient (ValueError "gradient contains non-finite
+    values"), so a diverging client fails at the step numerics.grad and
+    numerics.opt_step would fail at. Each step runs numerics' private kernel
+    on a working copy of start's values and one gradient buffer, both made
+    once per call and updated in place; the result equals a loop of
+    numerics.grad and numerics.opt_step bitwise.
     """
     if epochs < 0:
         raise ConfigError("epochs must be >= 0")
@@ -267,21 +279,31 @@ def client_local_update(
             f"shard ({shard.dim} dims, {shard.class_count} classes) does not fit "
             f"prototype {proto.id!r}"
         )
+    if not np.isfinite(shard.inputs).all():
+        raise ValueError("inputs contain non-finite values")
+    if shard.labels.min() < 0 or shard.labels.max() >= proto.n_classes:
+        raise IndexError(f"labels must lie in [0, {proto.n_classes})")
     anchor_values = (anchor if anchor is not None else start).values
-    params = start.copy()
+    values = start.values.copy()
+    layers = unflatten(proto, values)
+    g = np.empty_like(values)
+    grads = unflatten(proto, g)
     state = numerics.OptimizerState.sgd(lr)
+    binarize = proto.precision == "binary_ste"
     n = len(shard)
     for _ in range(epochs):
         order = rng.permutation(n)
         for lo in range(0, n, batch_size):
             sel = order[lo : lo + batch_size]
-            xb = shard.inputs[sel]
-            yb = shard.labels[sel]
-            g = numerics.grad("ce", params, xb, labels=yb)
+            logits, caches = _forward(proto, layers, shard.inputs[sel], binarize)
+            dlogits = numerics._ce_dlogits(numerics.softmax(logits), shard.labels[sel])
+            numerics._backward(proto, caches, dlogits, grads)
             if prox_mu != 0.0:
-                g = g + prox_mu * (params.values - anchor_values)
-            params, state = numerics.opt_step(state, params, g)
-    return params
+                g += prox_mu * (values - anchor_values)
+            if not np.isfinite(g).all():
+                raise ValueError("gradient contains non-finite values")
+            numerics._step_in_place(state, values, g)
+    return ParamVector(proto, values)
 
 
 def _kept_indices(accs: list[float], threshold: float | None) -> list[int]:

@@ -118,6 +118,8 @@ class MetricsRow:
     acc_ensemble: float
     acc_per_prototype: dict
     distill_steps: int
+    sampled: list[int]
+    dropped: list[int]
 
     def to_json(self) -> str:
         return json.dumps(
@@ -129,6 +131,8 @@ class MetricsRow:
                 "acc_ensemble": self.acc_ensemble,
                 "acc_per_prototype": self.acc_per_prototype,
                 "distill_steps": self.distill_steps,
+                "sampled": self.sampled,
+                "dropped": self.dropped,
             },
             sort_keys=True,
         )
@@ -144,6 +148,8 @@ class MetricsRow:
             acc_ensemble=float(d["acc_ensemble"]),
             acc_per_prototype=dict(d["acc_per_prototype"]),
             distill_steps=int(d["distill_steps"]),
+            sampled=[int(k) for k in d["sampled"]],
+            dropped=[int(k) for k in d["dropped"]],
         )
 
     @staticmethod
@@ -156,6 +162,8 @@ class MetricsRow:
             acc_ensemble=rec.acc_ensemble,
             acc_per_prototype=rec.per_prototype,
             distill_steps=rec.distill_steps,
+            sampled=rec.sampled,
+            dropped=rec.dropped,
         )
 
 
@@ -456,6 +464,10 @@ def load_experiment_config(path) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"bad value for federated.drop_threshold: {drop_raw!r}") from exc
 
+    # split_train_val keeps per_class - round(val_fraction * per_class) of each class
+    train_count = classes * (per_class - int(round(val_fraction * per_class)))
+    if clients > train_count:
+        raise ConfigError(f"federated.clients = {clients} exceeds the {train_count} training samples")
     if not strategies:
         raise ConfigError("federated.strategies must name at least one strategy")
     if len(set(strategies)) != len(strategies):
@@ -557,8 +569,6 @@ def build_seed_data(cfg: ExperimentConfig, seed: int) -> SeedData:
         cfg.classes, cfg.per_class, cfg.centers, cfg.scale, _derive_seed(seed, _TAG_TRAIN)
     )
     train, val = split_train_val(full, cfg.val_fraction, _derive_seed(seed, _TAG_SPLIT))
-    if cfg.clients > len(train):
-        raise ConfigError(f"federated.clients = {cfg.clients} exceeds the {len(train)} training samples")
     test = make_gaussian_blobs(
         cfg.classes, cfg.test_per_class, cfg.centers, cfg.scale, _derive_seed(seed, _TAG_TEST)
     )

@@ -46,6 +46,17 @@ class Prototype:
             raise ValueError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
         if self.precision not in PRECISIONS:
             raise ValueError(f"precision must be one of {PRECISIONS}, got {self.precision!r}")
+        # derived once: every gradient step reads them, and the fields are frozen
+        slices = []
+        pos = 0
+        for fan_in, fan_out in zip(self.layer_widths, self.layer_widths[1:]):
+            w_sl = slice(pos, pos + fan_in * fan_out)
+            pos += fan_in * fan_out
+            b_sl = slice(pos, pos + fan_out)
+            pos += fan_out
+            slices.append((w_sl, b_sl, (fan_in, fan_out)))
+        object.__setattr__(self, "_layer_slices", tuple(slices))
+        object.__setattr__(self, "_n_params", pos)
 
     @property
     def n_inputs(self) -> int:
@@ -61,7 +72,7 @@ class Prototype:
 
     @property
     def n_params(self) -> int:
-        return sum(a * b + b for a, b in zip(self.layer_widths, self.layer_widths[1:]))
+        return self._n_params
 
 
 @dataclass
@@ -90,17 +101,12 @@ class ParamVector:
         return ParamVector(self.prototype, self.values.copy())
 
 
-def layer_slices(proto: Prototype) -> list[tuple[slice, slice, tuple[int, int]]]:
-    """Per-layer (weight_slice, bias_slice, (fan_in, fan_out)) into the flat vector."""
-    out = []
-    pos = 0
-    for fan_in, fan_out in zip(proto.layer_widths, proto.layer_widths[1:]):
-        w_sl = slice(pos, pos + fan_in * fan_out)
-        pos += fan_in * fan_out
-        b_sl = slice(pos, pos + fan_out)
-        pos += fan_out
-        out.append((w_sl, b_sl, (fan_in, fan_out)))
-    return out
+def layer_slices(proto: Prototype) -> tuple[tuple[slice, slice, tuple[int, int]], ...]:
+    """Per-layer (weight_slice, bias_slice, (fan_in, fan_out)) into the flat vector.
+
+    Computed once per prototype; every call returns the same tuple.
+    """
+    return proto._layer_slices
 
 
 def unflatten(proto: Prototype, values: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -157,12 +163,22 @@ def forward_cached(
         )
     if not np.isfinite(x).all():
         raise ValueError("inputs contain non-finite values")
+    return _forward(proto, unflatten(proto, values), x, binarize)
+
+
+def _forward(
+    proto: Prototype, layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray, binarize: bool
+) -> tuple[np.ndarray, tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]]:
+    """forward_cached without its checks, over per-layer (W, b) views of unflatten.
+
+    The caller vouches for x: float64, (batch, n_inputs), finite.
+    """
     layer_inputs = [x]
     preacts: list[np.ndarray] = []
     eff_weights: list[np.ndarray] = []
     a = x
     last = proto.n_layers - 1
-    for l, (w, b) in enumerate(unflatten(proto, values)):
+    for l, (w, b) in enumerate(layers):
         if binarize:
             w = binarize_layer(w)
         z = a @ w + b

@@ -6,6 +6,15 @@ propagating. The gradient engine follows prototype precision: a binary_ste
 prototype's forward pass uses binarized weights and the backward pass treats
 binarization as identity (straight-through estimator), so the gradient
 applies directly to the full-precision master values.
+
+Checks live at the public entry points (grad, opt_step, and
+flcore.client_local_update). Beneath them is one private kernel: the
+unchecked forward pass models._forward, the cross-entropy logit gradient
+_ce_dlogits, _backward, which writes into per-layer views of a flat
+buffer, and the optimizer rule _step_in_place. grad and opt_step run it
+once per call on fresh buffers; client_local_update validates a client's
+shard once and then runs every local step through it on buffers made once
+per client.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._errors import ShapeError
-from .models import ParamVector, forward_cached, layer_slices
+from .models import ParamVector, forward_cached, unflatten
 
 _NORM_TOL = 1e-8
 _KL_FLOOR = 1e-12
@@ -160,37 +169,57 @@ def opt_step(state: OptimizerState, params: ParamVector, grad_flat: np.ndarray) 
         raise ShapeError(f"gradient shape {g.shape} != parameter shape {params.values.shape}")
     if not np.isfinite(g).all():
         raise ValueError("gradient contains non-finite values")
-    lr = current_lr(state)
-    if state.kind == "sgd":
-        new_values = params.values - lr * g
-        new_state = replace(state, step_count=state.step_count + 1)
-    else:
-        t = state.step_count + 1
-        m = state.beta1 * state.m + (1.0 - state.beta1) * g
-        v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1**t)
-        v_hat = v / (1.0 - state.beta2**t)
-        new_values = params.values - lr * m_hat / (np.sqrt(v_hat) + state.eps)
-        new_state = replace(state, step_count=t, m=m, v=v)
+    new_values = params.values.copy()
+    new_state = replace(state)
+    _step_in_place(new_state, new_values, g)
     return ParamVector(params.prototype, new_values), new_state
 
 
-def _backward(proto, caches, dlogits: np.ndarray) -> np.ndarray:
+def _step_in_place(state: OptimizerState, values: np.ndarray, g: np.ndarray) -> None:
+    """The optimizer rule: updates values in place and advances state.
+
+    Adam rebinds state.m and state.v to new arrays rather than writing into
+    them, so a shallow copy of the state leaves the original untouched.
+    """
+    lr = current_lr(state)
+    t = state.step_count + 1
+    if state.kind == "sgd":
+        values -= lr * g
+    else:
+        state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
+        state.v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
+        m_hat = state.m / (1.0 - state.beta1**t)
+        v_hat = state.v / (1.0 - state.beta2**t)
+        values -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    state.step_count = t
+
+
+def _ce_dlogits(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Gradient of mean cross-entropy w.r.t. the logits, built in probs' buffer."""
+    batch = probs.shape[0]
+    probs[np.arange(batch), labels] -= 1.0
+    probs /= batch
+    return probs
+
+
+def _backward(proto, caches, dlogits: np.ndarray, grads: list[tuple[np.ndarray, np.ndarray]]) -> None:
+    """Backpropagate dlogits through forward caches into grads.
+
+    grads holds per-layer (dW, db) views of one flat buffer (unflatten of
+    it); every entry of the buffer is overwritten.
+    """
     layer_inputs, preacts, eff_weights = caches
-    grad_flat = np.zeros(proto.n_params, dtype=np.float64)
-    slices = layer_slices(proto)
     delta = dlogits
     for l in range(proto.n_layers - 1, -1, -1):
-        w_sl, b_sl, (fan_in, fan_out) = slices[l]
-        grad_flat[w_sl] = (layer_inputs[l].T @ delta).reshape(fan_in * fan_out)
-        grad_flat[b_sl] = delta.sum(axis=0)
+        gw, gb = grads[l]
+        np.matmul(layer_inputs[l].T, delta, out=gw)
+        delta.sum(axis=0, out=gb)
         if l > 0:
             da = delta @ eff_weights[l].T
             if proto.activation == "relu":
                 delta = da * (preacts[l - 1] > 0.0)
             else:
                 delta = da * (1.0 - layer_inputs[l] * layer_inputs[l])
-    return grad_flat
 
 
 def grad(
@@ -221,9 +250,7 @@ def grad(
             raise ShapeError(f"labels must have shape ({batch},), got {y.shape}")
         if y.min() < 0 or y.max() >= proto.n_classes:
             raise IndexError(f"labels must lie in [0, {proto.n_classes})")
-        dlogits = probs.copy()
-        dlogits[np.arange(batch), y] -= 1.0
-        dlogits /= batch
+        dlogits = _ce_dlogits(probs, y)
     elif loss_kind == "kl_vs_target":
         if target_probs is None:
             raise ValueError("loss_kind 'kl_vs_target' requires target_probs")
@@ -239,4 +266,6 @@ def grad(
         dlogits = (probs - q) / batch
     else:
         raise ValueError(f"unknown loss_kind {loss_kind!r}")
-    return _backward(proto, caches, dlogits)
+    grad_flat = np.empty(proto.n_params, dtype=np.float64)
+    _backward(proto, caches, dlogits, unflatten(proto, grad_flat))
+    return grad_flat

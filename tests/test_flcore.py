@@ -103,6 +103,52 @@ def test_local_update_determinism():
     assert np.array_equal(a.values, b.values)
 
 
+def reference_local_update(start, shard, epochs, lr, batch_size, rng, prox_mu, anchor):
+    """client_local_update written with the public numerics.grad and opt_step."""
+    params = start.copy()
+    state = numerics.OptimizerState.sgd(lr)
+    for _ in range(epochs):
+        order = rng.permutation(len(shard))
+        for lo in range(0, len(shard), batch_size):
+            sel = order[lo : lo + batch_size]
+            g = numerics.grad("ce", params, shard.inputs[sel], labels=shard.labels[sel])
+            if prox_mu != 0.0:
+                g = g + prox_mu * (params.values - anchor.values)
+            params, state = numerics.opt_step(state, params, g)
+    return params
+
+
+@pytest.mark.parametrize(
+    "widths, rows, batch", [((2, 64, 10), 1, 32), ((2, 8, 3), 37, 8), ((2, 32, 32, 10), 159, 32)]
+)
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("precision", ["full", "binary_ste"])
+@pytest.mark.parametrize("mu", [0.0, 0.05])
+def test_local_update_equals_grad_and_opt_step_loop_bitwise(widths, rows, batch, activation, precision, mu):
+    rng = np.random.default_rng(rows)
+    shard = ff.Dataset(rng.normal(size=(rows, widths[0])), rng.integers(0, widths[-1], rows), widths[-1])
+    proto = Prototype("m", widths, activation, precision)
+    start = init_params(proto, 3)
+    anchor = init_params(proto, 4)
+    out = client_local_update(start, shard, 3, 0.05, batch, np.random.default_rng(9), mu, anchor)
+    ref = reference_local_update(start, shard, 3, 0.05, batch, np.random.default_rng(9), mu, anchor)
+    assert np.array_equal(out.values, ref.values)
+    assert out.prototype == proto
+
+
+def test_local_update_checks_a_shard_mutated_after_construction():
+    train, _, shards, proto = small_task()
+    start = init_params(proto, 0)
+    shard = shards[0].subset(np.arange(len(shards[0])))
+    shard.inputs[-1, 0] = np.nan
+    with pytest.raises(ValueError, match="inputs contain non-finite values"):
+        client_local_update(start, shard, 1, 0.1, 4, np.random.default_rng(0))
+    shard = shards[0].subset(np.arange(len(shards[0])))
+    shard.labels[-1] = proto.n_classes
+    with pytest.raises(IndexError):
+        client_local_update(start, shard, 1, 0.1, 4, np.random.default_rng(0))
+
+
 def test_prox_pull_dominates_at_huge_mu():
     train, _, shards, proto = small_task()
     start = init_params(proto, 2)

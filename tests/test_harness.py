@@ -109,6 +109,8 @@ def sample_row(round_index=3):
         acc_ensemble=0.75,
         acc_per_prototype={"p0": 0.73},
         distill_steps=42,
+        sampled=[0, 2, 5],
+        dropped=[2],
     )
 
 
@@ -291,6 +293,23 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="output width"):
             load_experiment_config(path)
 
+    def test_more_clients_than_training_samples_fails_at_load(self, tmp_path):
+        # 3 classes x 2 samples; round(0.15 * 2) = 0 go to validation, so 6 train
+        path = write_config(
+            tmp_path / "bad.ini",
+            per_class="per_class = 2",
+            val_fraction="val_fraction = 0.15",
+            clients="clients = 50",
+        )
+        with pytest.raises(ConfigError, match="federated.clients"):
+            load_experiment_config(path)
+        # 3 classes x 10 samples, 2 each to validation: 24 train clients fit
+        fits = write_config(tmp_path / "fits.ini", per_class="per_class = 10", clients="clients = 24")
+        assert load_experiment_config(fits).clients == 24
+        too_many = write_config(tmp_path / "many.ini", per_class="per_class = 10", clients="clients = 25")
+        with pytest.raises(ConfigError, match="federated.clients = 25 exceeds the 24 training samples"):
+            load_experiment_config(too_many)
+
     def test_bad_target_string_raises(self, tmp_path):
         path = write_config(tmp_path / "bad.ini", target="target = eventually")
         with pytest.raises(ConfigError, match="evaluation.target"):
@@ -341,6 +360,7 @@ class TestRunExperiment:
         assert len(rows) == cfg.rounds
         assert [r.round for r in rows] == [1, 2]
         assert all(r.wall_ms > 0 for r in rows)
+        assert all(set(r.dropped) <= set(r.sampled) and r.sampled for r in rows)
         params = load_params(root / "seed0" / "fedavg" / "final_p0.params", cfg.prototypes())
         assert params.prototype.layer_widths == (2, 8, 3)
         assert summary["schema_version"] == SCHEMA_VERSION

@@ -2,6 +2,7 @@
 
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -75,6 +76,18 @@ def test_layer_slices_tile_the_vector():
     assert total == proto.n_params
     views = unflatten(proto, np.arange(proto.n_params, dtype=np.float64))
     assert [w.shape for w, _ in views] == [(3, 5), (5, 4), (4, 2)]
+
+
+def test_layer_slices_are_computed_once_per_prototype():
+    proto = Prototype("p", (3, 5, 4, 2))
+    slices = layer_slices(proto)
+    assert layer_slices(proto) is slices
+    assert isinstance(slices, tuple) and all(isinstance(s, tuple) for s in slices)
+    binary = replace(proto, precision="binary_ste")
+    assert layer_slices(binary) == slices and binary.n_params == proto.n_params == 54
+    wider = replace(proto, layer_widths=(3, 6, 2))
+    assert [(w.stop - w.start, b.stop - b.start) for w, b, _ in layer_slices(wider)] == [(18, 6), (12, 2)]
+    assert wider.n_params == 38
 
 
 def test_init_params_deterministic_with_zero_biases():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from fedfusion import numerics
 from fedfusion._errors import ShapeError
@@ -238,3 +239,61 @@ def test_opt_step_validation():
         OptimizerState.sgd(0.1, schedule="cosine")
     with pytest.raises(ValueError):
         OptimizerState(kind="rmsprop", base_lr=0.1)
+
+
+@pytest.mark.parametrize("kind", ["sgd", "adam"])
+def test_in_place_rule_equals_opt_step_bitwise(kind):
+    from helpers import tiny_proto
+
+    proto = tiny_proto()
+    rng = np.random.default_rng(12)
+    grads = rng.normal(size=(7, proto.n_params))
+
+    def fresh():
+        if kind == "sgd":
+            return OptimizerState.sgd(0.1)
+        return OptimizerState.adam(1e-2, proto.n_params, schedule="cosine", total_steps=5)
+
+    params, state = ParamVector(proto, rng.normal(size=proto.n_params)), fresh()
+    values, live = params.values.copy(), fresh()
+    for g in grads:  # seven steps run past the cosine schedule's end
+        params, state = opt_step(state, params, g)
+        numerics._step_in_place(live, values, g)
+        assert np.array_equal(values, params.values)
+        assert live.step_count == state.step_count
+        if kind == "adam":
+            assert np.array_equal(live.m, state.m) and np.array_equal(live.v, state.v)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_in=st.integers(1, 3),
+    hidden=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+    n_classes=st.integers(2, 4),
+    activation=st.sampled_from(["relu", "tanh"]),
+    batch=st.integers(1, 6),
+)
+def test_grad_matches_finite_differences_on_random_shapes(seed, n_in, hidden, n_classes, activation, batch):
+    """Both losses against central differences (h = 1e-6), relative error <= 1e-4."""
+    from fedfusion.models import Prototype, forward_cached
+
+    rng = np.random.default_rng(seed)
+    proto = Prototype("h", (n_in, *hidden, n_classes), activation=activation)
+    params = ParamVector(proto, rng.normal(scale=0.7, size=proto.n_params))
+    inputs = rng.normal(size=(batch, n_in))
+    if activation == "relu":
+        # the finite-difference oracle is only valid away from the kink at 0
+        _, (_, preacts, _) = forward_cached(proto, params.values, inputs, binarize=False)
+        assume(min(np.abs(z).min() for z in preacts[:-1]) > 1e-3)
+    labels = rng.integers(0, n_classes, size=batch)
+    target_probs = softmax(rng.normal(size=(batch, n_classes)))
+    for analytic, loss in (
+        (grad("ce", params, inputs, labels=labels), ce_at(params, inputs, labels)),
+        (
+            grad("kl_vs_target", params, inputs, target_probs=target_probs),
+            kl_at(params, inputs, target_probs),
+        ),
+    ):
+        numeric = fd_grad(loss, params.values.copy())
+        assert max_rel_err(numeric, analytic) <= 1e-4
