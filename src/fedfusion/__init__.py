@@ -74,7 +74,6 @@ from .bound import (
 )
 from .harness import (
     ExperimentConfig,
-    MetricsRow,
     decision_boundary_grid,
     load_experiment_config,
     rounds_to_target,

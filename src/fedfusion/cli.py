@@ -30,12 +30,7 @@ from .harness import (
 
 def _cmd_run(args) -> int:
     cfg = load_experiment_config(args.config)
-    parallel = None
-    if args.parallel:
-        parallel = True
-    elif args.serial:
-        parallel = False
-    summary = run_experiment(cfg, parallel=parallel)
+    summary = run_experiment(cfg)
     root = resolve_output_root(cfg)
     for strategy in cfg.strategies:
         agg = summary["aggregate"][strategy]
@@ -88,9 +83,6 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run a federated experiment from a config file")
     p_run.add_argument("config", help="experiment INI file")
-    mode = p_run.add_mutually_exclusive_group()
-    mode.add_argument("--parallel", action="store_true", help="thread-parallel client updates")
-    mode.add_argument("--serial", action="store_true", help="force sequential client updates")
     p_run.set_defaults(fn=_cmd_run)
 
     p_bound = sub.add_parser("bound-check", help="evaluate the generalization bound suite")

@@ -26,14 +26,13 @@ gathers each batch's rows from them. Noise pools have no fixed rows and
 run the teachers on every batch.
 
 Determinism: every random stream is derived from (seed, stream tag, round,
-client), never from call order, so thread-parallel client execution is
-bitwise identical to sequential execution.
+client), never from call order, so the order in which a round's clients are
+trained cannot change its result.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -416,50 +415,12 @@ def feddf_fuse(
     return ParamVector(proto, best_values), steps
 
 
-def _train_sampled(
-    cfg: FLConfig,
-    state: ServerState,
-    shards: list[Dataset],
-    starts: dict[int, ParamVector],
-    ids: np.ndarray,
-    parallel: bool,
-) -> list[ParamVector]:
-    t = state.round_index + 1
-    mu = cfg.prox_mu if cfg.strategy == "fedprox" else 0.0
-
-    def train_one(k: int) -> ParamVector:
-        start = starts[k]
-        try:
-            trained = client_local_update(
-                start,
-                shards[k],
-                cfg.local_epochs,
-                cfg.local_lr,
-                cfg.local_batch,
-                client_rng(cfg.seed, t, k),
-                prox_mu=mu,
-                anchor=start,
-            )
-        except ValueError as e:  # e.g. a diverging client's non-finite loss
-            raise type(e)(f"round {t}, client {k}: {e}") from e
-        if start.prototype.precision == "binary_ste":
-            # clients transmit the binarized copy, not the master values
-            trained = ParamVector(start.prototype, binarize_values(start.prototype, trained.values))
-        return trained
-
-    if parallel:
-        with ThreadPoolExecutor(max_workers=min(8, len(ids))) as ex:
-            return list(ex.map(train_one, [int(k) for k in ids]))
-    return [train_one(int(k)) for k in ids]
-
-
 def run_round(
     state: ServerState,
     cfg: FLConfig,
     shards: list[Dataset],
     val: Dataset,
     client_prototypes: list[str] | None = None,
-    parallel: bool = False,
     capture: dict | None = None,
 ) -> tuple[ServerState, RoundRecord]:
     """One round of any strategy; returns (new state, record).
@@ -495,8 +456,21 @@ def run_round(
         raise ConfigError(f"client_prototypes references undeclared prototypes {unknown}")
     t = state.round_index + 1
     ids = sample_clients(cfg.client_count, cfg.participation, sampling_rng(cfg.seed, t))
-    starts = {int(k): state.params[client_prototypes[int(k)]] for k in ids}
-    trained = _train_sampled(cfg, state, shards, starts, ids, parallel)
+    mu = cfg.prox_mu if cfg.strategy == "fedprox" else 0.0
+    trained = []
+    for k in ids.tolist():
+        start = state.params[client_prototypes[k]]
+        try:
+            model = client_local_update(
+                start, shards[k], cfg.local_epochs, cfg.local_lr, cfg.local_batch,
+                client_rng(cfg.seed, t, k), prox_mu=mu, anchor=start,
+            )
+        except ValueError as e:  # e.g. a diverging client's non-finite loss
+            raise type(e)(f"round {t}, client {k}: {e}") from e
+        if start.prototype.precision == "binary_ste":
+            # clients transmit the binarized copy, not the master values
+            model = ParamVector(start.prototype, binarize_values(start.prototype, model.values))
+        trained.append(model)
     val_logits = [predict_logits(m, val.inputs) for m in trained]
     kept_idx = _kept_indices([_accuracy(z, val) for z in val_logits], cfg.drop_threshold)
     kept_ids = [int(ids[i]) for i in kept_idx]
@@ -557,7 +531,6 @@ def run_training(
     val: Dataset,
     prototypes: list[Prototype],
     client_prototypes: list[str] | None = None,
-    parallel: bool = False,
     capture_final: dict | None = None,
 ) -> tuple[ServerState, list[RoundRecord]]:
     """Full T-round run from a fresh server state; pure function of cfg + data.
@@ -574,7 +547,7 @@ def run_training(
     for r in range(cfg.rounds):
         cap = capture_final if r == cfg.rounds - 1 else None
         tic = time.perf_counter()
-        state, rec = run_round(state, cfg, shards, val, client_prototypes, parallel, cap)
+        state, rec = run_round(state, cfg, shards, val, client_prototypes, cap)
         rec.wall_ms = (time.perf_counter() - tic) * 1000.0
         records.append(rec)
     return state, records

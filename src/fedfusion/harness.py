@@ -42,13 +42,13 @@ Config files are INI format (configparser). A full experiment file looks like
     centralized_epochs = 60
     grid = none
 
-Each (seed, strategy) arm is one flcore.run_training call. Its per-round
-records go to <output>/seed<k>/<strategy>/metrics.jsonl (one JSON object per
-line); wall_ms, the round wall time run_training stamps on each record, is
-the only nondeterministic field. The aggregate
-summary.json is byte-identical across reruns of the same config, including
-single-threaded vs thread-parallel client execution. The FEDFUSION_OUTPUT_ROOT
-environment variable, when set, replaces the configured output directory.
+Unknown sections and keys are a ConfigError, as are bad values. Each
+(seed, strategy) arm is one flcore.run_training call. Its RoundRecords go to
+<output>/seed<k>/<strategy>/metrics.jsonl, one line each: as_dict() plus
+wall_ms, the round wall time run_training stamps on each record and the only
+nondeterministic field. The aggregate summary.json is byte-identical across
+reruns of the same config. The FEDFUSION_OUTPUT_ROOT environment variable,
+when set, replaces the configured output directory.
 """
 
 from __future__ import annotations
@@ -93,7 +93,6 @@ OUTPUT_ENV_VAR = "FEDFUSION_OUTPUT_ROOT"
 __all__ = [
     "SCHEMA_VERSION",
     "OUTPUT_ENV_VAR",
-    "MetricsRow",
     "ExperimentConfig",
     "load_experiment_config",
     "rounds_to_target",
@@ -107,82 +106,23 @@ __all__ = [
 ]
 
 
-@dataclass
-class MetricsRow:
-    """One line of metrics.jsonl."""
-
-    round: int
-    wall_ms: float
-    acc_averaged: float
-    acc_fused: float
-    acc_ensemble: float
-    acc_per_prototype: dict
-    distill_steps: int
-    sampled: list[int]
-    dropped: list[int]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "round": self.round,
-                "wall_ms": self.wall_ms,
-                "acc_averaged": self.acc_averaged,
-                "acc_fused": self.acc_fused,
-                "acc_ensemble": self.acc_ensemble,
-                "acc_per_prototype": self.acc_per_prototype,
-                "distill_steps": self.distill_steps,
-                "sampled": self.sampled,
-                "dropped": self.dropped,
-            },
-            sort_keys=True,
-        )
-
-    @staticmethod
-    def from_json(line: str) -> "MetricsRow":
-        d = json.loads(line)
-        return MetricsRow(
-            round=int(d["round"]),
-            wall_ms=float(d["wall_ms"]),
-            acc_averaged=float(d["acc_averaged"]),
-            acc_fused=float(d["acc_fused"]),
-            acc_ensemble=float(d["acc_ensemble"]),
-            acc_per_prototype=dict(d["acc_per_prototype"]),
-            distill_steps=int(d["distill_steps"]),
-            sampled=[int(k) for k in d["sampled"]],
-            dropped=[int(k) for k in d["dropped"]],
-        )
-
-    @staticmethod
-    def from_record(rec: RoundRecord) -> "MetricsRow":
-        return MetricsRow(
-            round=rec.round_index,
-            wall_ms=rec.wall_ms,
-            acc_averaged=rec.acc_averaged,
-            acc_fused=rec.acc_fused,
-            acc_ensemble=rec.acc_ensemble,
-            acc_per_prototype=rec.per_prototype,
-            distill_steps=rec.distill_steps,
-            sampled=rec.sampled,
-            dropped=rec.dropped,
-        )
-
-
-def write_metrics(rows: list[MetricsRow], path) -> None:
+def write_metrics(records: list[RoundRecord], path) -> None:
     with open(path, "w") as fh:
-        for row in rows:
-            fh.write(row.to_json() + "\n")
+        for rec in records:
+            fh.write(json.dumps({**rec.as_dict(), "wall_ms": rec.wall_ms}, sort_keys=True) + "\n")
 
 
-def read_metrics(path) -> list[MetricsRow]:
+def read_metrics(path) -> list[RoundRecord]:
     with open(path) as fh:
-        return [MetricsRow.from_json(line) for line in fh if line.strip()]
+        rows = [json.loads(line) for line in fh if line.strip()]
+    return [RoundRecord(round_index=d.pop("round"), per_prototype=d.pop("acc_per_prototype"), **d) for d in rows]
 
 
 def rounds_to_target(history, target: float) -> int | None:
     """First 1-based round whose fused accuracy reaches target; None if never.
 
-    history may hold MetricsRow / RoundRecord objects (acc_fused is used; for
-    non-distilling strategies that equals the averaged accuracy) or bare floats.
+    history may hold RoundRecords (acc_fused is used; for non-distilling
+    strategies that equals the averaged accuracy) or bare floats.
     """
     for i, item in enumerate(history, start=1):
         acc = float(item.acc_fused) if hasattr(item, "acc_fused") else float(item)
@@ -242,7 +182,6 @@ class ExperimentConfig:
     schema_version: int
     seeds: list[int]
     output_root: str
-    parallel_clients: bool
     classes: int
     per_class: int
     scale: float
@@ -321,6 +260,45 @@ class ExperimentConfig:
 
 
 _MISSING = object()
+
+# every section and key a config file may set
+_EXPERIMENT_KEYS = {
+    "experiment": {"schema_version", "seeds", "output"},
+    "dataset": {"classes", "per_class", "scale", "centers", "test_per_class", "val_fraction", "save"},
+    "partition": {"alpha"},
+    "federated": {
+        "rounds", "clients", "participation", "local_epochs", "local_lr", "local_batch",
+        "strategies", "prototypes", "activation", "precision", "prox_mu", "server_momentum",
+        "drop_threshold",
+    },
+    "distillation": {
+        "max_steps", "patience", "base_lr", "init_mode", "pool", "pool_size", "batch_size",
+        "noise_low", "noise_high",
+    },
+    "evaluation": {"target", "centralized_epochs", "grid", "grid_clients"},
+}
+_BOUND_KEYS = {
+    "bound": {"instances", "family", "grid_size", "ref_size", "delta", "seed", "k_clients", "m", "output"}
+}
+
+
+def _read_ini(path, known: dict[str, set[str]]) -> configparser.ConfigParser:
+    """Parse an INI file; a missing file or an unknown section or key is a ConfigError.
+
+    Keys of the DEFAULT section show up in every section and are not checked.
+    """
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    path = Path(path)
+    if not path.is_file():
+        raise ConfigError(f"config file not found: {path}")
+    parser.read(path)
+    for section in parser.sections():
+        if section not in known:
+            raise ConfigError(f"unknown section [{section}]")
+        unknown = sorted(set(parser.options(section)) - set(parser.defaults()) - known[section])
+        if unknown:
+            raise ConfigError("unknown key " + ", ".join(f"{section}.{k}" for k in unknown))
+    return parser
 
 
 def _get(parser: configparser.ConfigParser, section: str, key: str, cast, default=_MISSING):
@@ -405,11 +383,7 @@ def _parse_target(raw: str) -> tuple[str, float]:
 
 def load_experiment_config(path) -> ExperimentConfig:
     """Parse and validate an experiment INI file; ConfigError names the field."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    parser.read(path)
+    parser = _read_ini(path, _EXPERIMENT_KEYS)
 
     schema = _get(parser, "experiment", "schema_version", int)
     if schema != SCHEMA_VERSION:
@@ -418,7 +392,6 @@ def load_experiment_config(path) -> ExperimentConfig:
     if not seeds or any(s < 0 for s in seeds) or len(set(seeds)) != len(seeds):
         raise ConfigError("experiment.seeds must be distinct non-negative integers")
     output_root = _get(parser, "experiment", "output", str)
-    parallel = _get(parser, "experiment", "parallel_clients", _parse_bool, default=False)
 
     classes = _get(parser, "dataset", "classes", int)
     per_class = _get(parser, "dataset", "per_class", int)
@@ -436,6 +409,13 @@ def load_experiment_config(path) -> ExperimentConfig:
         )
     if not 0.0 < val_fraction < 1.0:
         raise ConfigError("dataset.val_fraction must lie in (0, 1)")
+    # split_train_val sends round(val_fraction * per_class) of each class to validation
+    val_per_class = int(round(val_fraction * per_class))
+    if not 0 < val_per_class < per_class:
+        raise ConfigError(
+            f"dataset.val_fraction = {val_fraction} puts {val_per_class} of per_class = {per_class} "
+            "samples in validation; both sides need at least one"
+        )
 
     alpha = _get(parser, "partition", "alpha", float)
     if not alpha > 0:
@@ -464,8 +444,7 @@ def load_experiment_config(path) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"bad value for federated.drop_threshold: {drop_raw!r}") from exc
 
-    # split_train_val keeps per_class - round(val_fraction * per_class) of each class
-    train_count = classes * (per_class - int(round(val_fraction * per_class)))
+    train_count = classes * (per_class - val_per_class)
     if clients > train_count:
         raise ConfigError(f"federated.clients = {clients} exceeds the {train_count} training samples")
     if not strategies:
@@ -520,7 +499,6 @@ def load_experiment_config(path) -> ExperimentConfig:
         schema_version=schema,
         seeds=seeds,
         output_root=output_root,
-        parallel_clients=parallel,
         classes=classes,
         per_class=per_class,
         scale=scale,
@@ -657,14 +635,11 @@ def resolve_output_root(cfg: ExperimentConfig | BoundSuiteConfig) -> Path:
     return Path(env) if env else Path(cfg.output_root)
 
 
-def run_experiment(cfg: ExperimentConfig, parallel: bool | None = None) -> dict:
+def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run every (seed, strategy) arm, write artifacts, return the summary dict.
 
-    parallel overrides the config's parallel_clients when given. The summary
-    written to <output>/summary.json is byte-identical across reruns and
-    across parallel settings.
+    The summary written to <output>/summary.json is byte-identical across reruns.
     """
-    use_parallel = cfg.parallel_clients if parallel is None else parallel
     root = resolve_output_root(cfg)
     root.mkdir(parents=True, exist_ok=True)
     results: dict[str, dict] = {s: {} for s in cfg.strategies}
@@ -695,12 +670,11 @@ def run_experiment(cfg: ExperimentConfig, parallel: bool | None = None) -> dict:
             want_capture = cfg.grid is not None and strategy != "feddf_hetero"
             capture: dict | None = {} if want_capture else None
             state, records = run_training(
-                flcfg, data.shards, data.val, cfg.prototypes(), cfg.client_prototype_map(),
-                use_parallel, capture,
+                flcfg, data.shards, data.val, cfg.prototypes(), cfg.client_prototype_map(), capture
             )
             run_dir = seed_dir / strategy
             run_dir.mkdir(exist_ok=True)
-            write_metrics([MetricsRow.from_record(r) for r in records], run_dir / "metrics.jsonl")
+            write_metrics(records, run_dir / "metrics.jsonl")
             for pid, pv in sorted(state.params.items()):
                 save_params(pv, run_dir / f"final_{pid}.params")
             if cfg.grid is not None:
@@ -791,12 +765,12 @@ class BoundSuiteConfig:
     output_root: str
 
 
+def _parse_count_or_random(raw: str) -> int | None:
+    return None if raw == "random" else int(raw)
+
+
 def load_bound_config(path) -> BoundSuiteConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    parser.read(path)
+    parser = _read_ini(path, _BOUND_KEYS)
     instances = _get(parser, "bound", "instances", int)
     if instances < 1:
         raise ConfigError("bound.instances must be >= 1")
@@ -809,10 +783,11 @@ def load_bound_config(path) -> BoundSuiteConfig:
     if not 0.0 < delta < 1.0:
         raise ConfigError("bound.delta must lie in (0, 1)")
     seed = _get(parser, "bound", "seed", int, default=0)
-    k_raw = _get(parser, "bound", "k_clients", str, default="random")
-    m_raw = _get(parser, "bound", "m", str, default="random")
-    k_clients = None if k_raw == "random" else int(k_raw)
-    m = None if m_raw == "random" else int(m_raw)
+    k_clients = _get(parser, "bound", "k_clients", _parse_count_or_random, default=None)
+    m = _get(parser, "bound", "m", _parse_count_or_random, default=None)
+    for key, value in (("grid_size", grid_size), ("ref_size", ref_size), ("k_clients", k_clients), ("m", m)):
+        if value is not None and value < 1:
+            raise ConfigError(f"bound.{key} must be >= 1, got {value}")
     output_root = _get(parser, "bound", "output", str)
     return BoundSuiteConfig(
         instances, family, grid_size, ref_size, delta, seed, k_clients, m, output_root

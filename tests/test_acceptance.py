@@ -18,8 +18,12 @@ distillation still converges.
 """
 
 import multiprocessing
+import os
+import subprocess
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -644,17 +648,26 @@ def test_criterion_11_byte_identical_summaries(tmp_path):
     path.write_text(config_text)
     cfg = ff.load_experiment_config(path)
     summary_path = tmp_path / "out" / "summary.json"
-    ff.run_experiment(cfg, parallel=False)
+    ff.run_experiment(cfg)
     first = summary_path.read_bytes()
-    ff.run_experiment(cfg, parallel=False)
+    ff.run_experiment(cfg)
     second = summary_path.read_bytes()
-    ff.run_experiment(cfg, parallel=True)
-    third = summary_path.read_bytes()
+    # the same config through the CLI in a fresh interpreter, written elsewhere
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p),
+        ff.harness.OUTPUT_ENV_VAR: str(tmp_path / "fresh"),
+    }
+    proc = subprocess.run(
+        [sys.executable, "-m", "fedfusion", "run", str(path)], capture_output=True, env=env
+    )
+    third = (tmp_path / "fresh" / "summary.json").read_bytes() if proc.returncode == 0 else b""
     verdict(
         11,
         first == second == third,
         f"summary file byte-identical across a rerun ({'yes' if first == second else 'NO'}) "
-        f"and across thread-parallel vs sequential clients "
-        f"({'yes' if first == third else 'NO'}); {len(first)} bytes, "
+        f"and in a fresh `python -m fedfusion run` process "
+        f"({'yes' if first == third else f'NO, exit {proc.returncode}'}); {len(first)} bytes, "
         f"2 seeds x 2 strategies x 3 rounds",
     )

@@ -6,12 +6,13 @@ import pytest
 import fedfusion as ff
 from fedfusion._errors import ConfigError, ShapeError
 from fedfusion import flcore, numerics
-from fedfusion.models import ParamVector, Prototype, init_params, predict_logits
+from fedfusion.models import ParamVector, Prototype, binarize_values, init_params, predict_logits
 from fedfusion.flcore import (
     DistillConfig,
     FLConfig,
     ServerState,
     client_local_update,
+    client_rng,
     drop_worst,
     ensemble_accuracy,
     ensemble_logits,
@@ -315,12 +316,11 @@ def test_drop_filter_reuses_the_validation_forwards(monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.parametrize("parallel", [False, True])
-def test_diverging_client_error_names_round_and_client(parallel):
+def test_diverging_client_error_names_round_and_client():
     _, val, shards, proto = small_task()
     cfg = small_cfg("fedavg", local_lr=1e200)
     with pytest.raises(ValueError, match=r"^round 1, client \d+: ") as info:
-        run_training(cfg, shards, val, [proto], parallel=parallel)
+        run_training(cfg, shards, val, [proto])
     assert type(info.value) is ValueError and isinstance(info.value.__cause__, ValueError)
     assert str(info.value).endswith(str(info.value.__cause__))
 
@@ -401,19 +401,22 @@ def test_run_training_deterministic():
     assert not np.array_equal(s1.params["m"].values, s3.params["m"].values)
 
 
-def test_parallel_training_matches_serial_bitwise():
-    train, val, shards, proto = small_task()
-    cfg = small_cfg(
-        "feddf",
-        distill=DistillConfig(max_steps=20, patience=5, pool=uniform_pool()),
-    )
-    serial, _ = run_training(cfg, shards, val, [proto], parallel=False)
-    cfg2 = small_cfg(
-        "feddf",
-        distill=DistillConfig(max_steps=20, patience=5, pool=uniform_pool()),
-    )
-    threaded, _ = run_training(cfg2, shards, val, [proto], parallel=True)
-    assert np.array_equal(serial.params["m"].values, threaded.params["m"].values)
+@pytest.mark.parametrize("precision", ["full", "binary_ste"])
+def test_client_training_order_cannot_change_a_round(precision):
+    _, val, shards, _ = small_task()
+    proto = Prototype("m", (2, 12, 3), precision=precision)
+    cfg = small_cfg("feddf", distill=DistillConfig(max_steps=20, patience=5, pool=uniform_pool()))
+    state, _ = run_round(ServerState.initialize([proto], 0), cfg, shards, val)
+    cap = {}
+    _, rec = run_round(state, cfg, shards, val, capture=cap)
+    assert len(rec.sampled) > 1
+    for k in reversed(rec.sampled):
+        rng = client_rng(cfg.seed, rec.round_index, k)
+        trained = client_local_update(
+            state.params["m"], shards[k], cfg.local_epochs, cfg.local_lr, cfg.local_batch, rng
+        )
+        values = trained.values if precision == "full" else binarize_values(proto, trained.values)
+        assert np.array_equal(values, cap["client_models"][k].values)
 
 
 def test_fedavgm_momentum_changes_trajectory():

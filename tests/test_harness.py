@@ -14,7 +14,6 @@ from fedfusion.cli import main as cli_main
 from fedfusion.harness import (
     OUTPUT_ENV_VAR,
     SCHEMA_VERSION,
-    MetricsRow,
     _derive_seed,
     build_seed_data,
     decision_boundary_grid,
@@ -29,6 +28,7 @@ from fedfusion.harness import (
     save_boundary_grid,
     write_metrics,
 )
+from fedfusion.flcore import RoundRecord
 from fedfusion.models import Prototype, init_params, load_params, predict_logits
 from fedfusion.numerics import softmax
 
@@ -101,16 +101,16 @@ def write_config(path, **overrides):
 
 
 def sample_row(round_index=3):
-    return MetricsRow(
-        round=round_index,
-        wall_ms=12.5,
+    return RoundRecord(
+        round_index=round_index,
+        sampled=[0, 2, 5],
+        dropped=[2],
         acc_averaged=0.61,
         acc_fused=0.73,
         acc_ensemble=0.75,
-        acc_per_prototype={"p0": 0.73},
         distill_steps=42,
-        sampled=[0, 2, 5],
-        dropped=[2],
+        per_prototype={"p0": {"acc_averaged": 0.61, "acc_fused": 0.73}},
+        wall_ms=12.5 + round_index,
     )
 
 
@@ -140,19 +140,24 @@ class TestRoundsToTarget:
 
 
 class TestMetricsFile:
-    def test_json_roundtrip_is_lossless(self):
-        row = sample_row()
-        back = MetricsRow.from_json(row.to_json())
-        assert back == row
-
-    def test_json_is_deterministic(self):
-        assert sample_row().to_json() == sample_row().to_json()
+    def test_line_is_the_record_dict_plus_wall_ms(self, tmp_path):
+        rec = sample_row()
+        path = tmp_path / "metrics.jsonl"
+        write_metrics([rec], path)
+        line = path.read_text()
+        assert line == json.dumps({**rec.as_dict(), "wall_ms": 15.5}, sort_keys=True) + "\n"
+        assert sorted(json.loads(line)) == sorted(
+            ["round", "wall_ms", "acc_averaged", "acc_fused", "acc_ensemble",
+             "acc_per_prototype", "distill_steps", "sampled", "dropped"]
+        )
 
     def test_write_read_roundtrip(self, tmp_path):
-        rows = [sample_row(i) for i in range(1, 4)]
+        records = [sample_row(i) for i in range(1, 4)]
         path = tmp_path / "metrics.jsonl"
-        write_metrics(rows, path)
-        assert read_metrics(path) == rows
+        write_metrics(records, path)
+        back = read_metrics(path)
+        assert back == records
+        assert [r.wall_ms for r in back] == [r.wall_ms for r in records]
         # one JSON object per line
         assert len(path.read_text().strip().splitlines()) == 3
 
@@ -294,10 +299,10 @@ class TestConfigLoading:
             load_experiment_config(path)
 
     def test_more_clients_than_training_samples_fails_at_load(self, tmp_path):
-        # 3 classes x 2 samples; round(0.15 * 2) = 0 go to validation, so 6 train
+        # 3 classes x 4 samples; round(0.15 * 4) = 1 goes to validation, so 9 train
         path = write_config(
             tmp_path / "bad.ini",
-            per_class="per_class = 2",
+            per_class="per_class = 4",
             val_fraction="val_fraction = 0.15",
             clients="clients = 50",
         )
@@ -309,6 +314,41 @@ class TestConfigLoading:
         too_many = write_config(tmp_path / "many.ini", per_class="per_class = 10", clients="clients = 25")
         with pytest.raises(ConfigError, match="federated.clients = 25 exceeds the 24 training samples"):
             load_experiment_config(too_many)
+
+    @pytest.mark.parametrize("per_class, val_fraction", [(2, 0.15), (3, 0.9)])
+    def test_val_fraction_leaving_an_empty_side_fails_at_load(self, tmp_path, per_class, val_fraction):
+        # round(0.15 * 2) = 0 validation samples; round(0.9 * 3) = 3 leaves no training sample
+        path = write_config(
+            tmp_path / "bad.ini",
+            per_class=f"per_class = {per_class}",
+            val_fraction=f"val_fraction = {val_fraction}",
+            clients="clients = 50",
+        )
+        with pytest.raises(ConfigError, match="dataset.val_fraction"):
+            load_experiment_config(path)
+
+    def test_unknown_section_or_key_raises(self, tmp_path):
+        path = write_config(tmp_path / "typo.ini", prototypes="prototypes = 2,8,3\ndrop_treshold = 0.5")
+        with pytest.raises(ConfigError, match="unknown key federated.drop_treshold"):
+            load_experiment_config(path)
+        path = write_config(tmp_path / "old.ini", output="output = x\nparallel_clients = true")
+        with pytest.raises(ConfigError, match="experiment.parallel_clients"):
+            load_experiment_config(path)
+        path = write_config(tmp_path / "sec.ini")
+        path.write_text(path.read_text() + "\n[federatd]\nrounds = 3\n")
+        with pytest.raises(ConfigError, match=r"unknown section \[federatd\]"):
+            load_experiment_config(path)
+
+    def test_readme_config_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        path = tmp_path / "readme.ini"
+        path.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+        assert load_experiment_config(path).strategies == ["fedavg", "feddf"]
+
+    def test_default_section_keys_are_not_unknown(self, tmp_path):
+        path = write_config(tmp_path / "exp.ini")
+        path.write_text("[DEFAULT]\nwidth = 8\n\n" + path.read_text())
+        assert load_experiment_config(path).clients == 4
 
     def test_bad_target_string_raises(self, tmp_path):
         path = write_config(tmp_path / "bad.ini", target="target = eventually")
@@ -358,7 +398,7 @@ class TestRunExperiment:
         assert (root / "summary.json").is_file()
         rows = read_metrics(root / "seed0" / "fedavg" / "metrics.jsonl")
         assert len(rows) == cfg.rounds
-        assert [r.round for r in rows] == [1, 2]
+        assert [r.round_index for r in rows] == [1, 2]
         assert all(r.wall_ms > 0 for r in rows)
         assert all(set(r.dropped) <= set(r.sampled) and r.sampled for r in rows)
         params = load_params(root / "seed0" / "fedavg" / "final_p0.params", cfg.prototypes())
@@ -425,6 +465,16 @@ class TestBoundSuite:
         path.write_text("[bound]\ninstances = 3\nfamily = circles\noutput = x\n")
         with pytest.raises(ConfigError, match="family"):
             load_bound_config(path)
+        path.write_text("[bound]\ninstances = 3\nseeds = 1\noutput = x\n")
+        with pytest.raises(ConfigError, match="bound.seeds"):
+            load_bound_config(path)
+        for key in ("grid_size", "ref_size", "k_clients", "m"):
+            path.write_text(f"[bound]\ninstances = 3\n{key} = 0\noutput = x\n")
+            with pytest.raises(ConfigError, match=f"bound.{key} must be >= 1"):
+                load_bound_config(path)
+        path.write_text("[bound]\ninstances = 3\nk_clients = 2\nm = random\noutput = x\n")
+        cfg = load_bound_config(path)
+        assert cfg.k_clients == 2 and cfg.m is None
 
     def test_suite_runs_and_reports(self, tmp_path):
         out = run_bound_suite(load_bound_config(self.write_bound(tmp_path)))
@@ -467,6 +517,28 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith("config error:")
             assert "federated.clients" in err
+
+    def test_empty_validation_split_exits_one(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path / "bad.ini", per_class="per_class = 2", val_fraction="val_fraction = 0.15"
+        )
+        assert cli_main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "dataset.val_fraction" in err
+
+    @pytest.mark.parametrize("line", ["k_clients = three", "grid_size = 0"])
+    def test_bad_bound_count_exits_one(self, tmp_path, capsys, line):
+        path = tmp_path / "bound.ini"
+        path.write_text(f"[bound]\ninstances = 2\n{line}\noutput = {tmp_path / 'bout'}\n")
+        assert cli_main(["bound-check", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"bound.{line.split()[0]}" in err
+
+    def test_parallel_flag_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli_main(["run", str(write_config(tmp_path / "exp.ini")), "--parallel"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --parallel" in capsys.readouterr().err
 
     def test_partition_stats_is_deterministic(self, tmp_path, capsys):
         path = write_config(tmp_path / "exp.ini")
