@@ -111,9 +111,9 @@ def dirichlet_partition(labels: np.ndarray, spec: PartitionSpec) -> list[np.ndar
     For each class, client proportions are drawn from Dir(alpha * p) with p
     the uniform prior over clients, then the class's (shuffled) indices are
     cut at the cumulative proportions. Shards are disjoint, cover all
-    indices, and are returned sorted. Empty shards are repaired by moving
-    one randomly chosen sample from the largest shard, when one with at
-    least two samples exists.
+    indices, and are returned sorted. More clients than samples is a
+    ValueError; otherwise each empty shard is repaired by moving one
+    randomly chosen sample from the largest shard, so no shard is empty.
     """
     y = np.asarray(labels)
     if y.ndim != 1:
@@ -121,6 +121,8 @@ def dirichlet_partition(labels: np.ndarray, spec: PartitionSpec) -> list[np.ndar
     if y.shape[0] < 1:
         raise ValueError("cannot partition an empty label array")
     k = spec.client_count
+    if k > y.shape[0]:
+        raise ValueError(f"cannot split {y.shape[0]} samples across {k} clients")
     rng = np.random.default_rng(spec.seed)
     conc = np.full(k, spec.alpha / k)
     parts: list[list[np.ndarray]] = [[] for _ in range(k)]
@@ -140,9 +142,7 @@ def dirichlet_partition(labels: np.ndarray, spec: PartitionSpec) -> list[np.ndar
     for j in range(k):
         if sizes[j] > 0:
             continue
-        donor = int(np.argmax(sizes))
-        if sizes[donor] < 2:
-            continue
+        donor = int(np.argmax(sizes))  # k <= n: some shard holds two or more
         pick = int(rng.integers(sizes[donor]))
         moved = shards[donor][pick]
         shards[donor] = np.delete(shards[donor], pick)

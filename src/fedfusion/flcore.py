@@ -20,6 +20,10 @@ per-prototype accuracies are recorded for feddf_hetero only. Each sampled
 model's validation logits are computed once per round; the drop filter and
 the ensemble accuracy are both read from them.
 
+Local SGD (client_local_update, and through it the centralized reference)
+and distillation (feddf_fuse) check their fixed data once, then feed
+batches to one training step (numerics._trainer) with a CE or KL rule.
+
 The teachers are fixed while one fusion runs, so with a heldout pool
 feddf_fuse computes their softmax targets once, over the whole pool, and
 gathers each batch's rows from them. Noise pools have no fixed rows and
@@ -33,7 +37,7 @@ trained cannot change its result.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -226,19 +230,27 @@ def sample_clients(client_count: int, participation: float, rng: np.random.Gener
     return np.sort(rng.choice(client_count, size=count, replace=False))
 
 
+def _check_fits(proto: Prototype, ds: Dataset, name: str) -> None:
+    """Raise unless ds fits proto, has finite inputs and labels in range."""
+    if ds.dim != proto.n_inputs or ds.class_count != proto.n_classes:
+        raise ShapeError(
+            f"{name} ({ds.dim} dims, {ds.class_count} classes) does not fit "
+            f"prototype {proto.id!r}"
+        )
+    if not np.isfinite(ds.inputs).all():
+        raise ValueError("inputs contain non-finite values")
+    if ds.labels.min() < 0 or ds.labels.max() >= proto.n_classes:
+        raise IndexError(f"labels must lie in [0, {proto.n_classes})")
+
+
 def top1_accuracy(params: ParamVector, dataset: Dataset) -> float:
     """Fraction of argmax predictions matching labels; ties pick the lowest class."""
-    if dataset.class_count != params.prototype.n_classes:
-        raise ShapeError(
-            f"dataset has {dataset.class_count} classes, prototype expects "
-            f"{params.prototype.n_classes}"
-        )
+    _check_fits(params.prototype, dataset, "dataset")
     return _accuracy(predict_logits(params, dataset.inputs), dataset)
 
 
 def _accuracy(logits: np.ndarray, dataset: Dataset) -> float:
-    preds = np.argmax(logits, axis=1)
-    return float((preds == dataset.labels).mean())
+    return np.count_nonzero(np.argmax(logits, axis=1) == dataset.labels) / len(dataset)
 
 
 def client_local_update(
@@ -260,48 +272,28 @@ def client_local_update(
 
     Checked once per call: the arguments, that the shard fits the prototype,
     and that the shard's inputs are finite and its labels in range. Checked
-    every step: the logits (ValueError "softmax input contains non-finite
-    values") and the gradient (ValueError "gradient contains non-finite
-    values"), so a diverging client fails at the step numerics.grad and
-    numerics.opt_step would fail at. Each step runs numerics' private kernel
-    on a working copy of start's values and one gradient buffer, both made
-    once per call and updated in place; the result equals a loop of
-    numerics.grad and numerics.opt_step bitwise.
+    every step, by numerics._trainer's step: the logits (ValueError "softmax
+    input contains non-finite values") and the gradient (ValueError
+    "gradient contains non-finite values"), so a diverging client fails at
+    the step numerics.grad and numerics.opt_step would fail at. The steps
+    update one working copy of start's values in place; the result equals a
+    loop of numerics.grad and numerics.opt_step bitwise.
     """
     if epochs < 0:
         raise ConfigError("epochs must be >= 0")
     if batch_size < 1:
         raise ConfigError("batch_size must be >= 1")
     proto = start.prototype
-    if shard.dim != proto.n_inputs or shard.class_count != proto.n_classes:
-        raise ShapeError(
-            f"shard ({shard.dim} dims, {shard.class_count} classes) does not fit "
-            f"prototype {proto.id!r}"
-        )
-    if not np.isfinite(shard.inputs).all():
-        raise ValueError("inputs contain non-finite values")
-    if shard.labels.min() < 0 or shard.labels.max() >= proto.n_classes:
-        raise IndexError(f"labels must lie in [0, {proto.n_classes})")
+    _check_fits(proto, shard, "shard")
     anchor_values = (anchor if anchor is not None else start).values
     values = start.values.copy()
-    layers = unflatten(proto, values)
-    g = np.empty_like(values)
-    grads = unflatten(proto, g)
-    state = numerics.OptimizerState.sgd(lr)
-    binarize = proto.precision == "binary_ste"
+    step = numerics._trainer(proto, values, numerics.OptimizerState.sgd(lr), prox_mu, anchor_values)
     n = len(shard)
     for _ in range(epochs):
         order = rng.permutation(n)
         for lo in range(0, n, batch_size):
             sel = order[lo : lo + batch_size]
-            logits, caches = _forward(proto, layers, shard.inputs[sel], binarize)
-            dlogits = numerics._ce_dlogits(numerics.softmax(logits), shard.labels[sel])
-            numerics._backward(proto, caches, dlogits, grads)
-            if prox_mu != 0.0:
-                g += prox_mu * (values - anchor_values)
-            if not np.isfinite(g).all():
-                raise ValueError("gradient contains non-finite values")
-            numerics._step_in_place(state, values, g)
+            step(shard.inputs[sel], numerics._ce_dlogits, shard.labels[sel])
     return ParamVector(proto, values)
 
 
@@ -344,12 +336,6 @@ def ensemble_accuracy(teachers: list[ParamVector], dataset: Dataset) -> float:
     return _accuracy(ensemble_logits(teachers, dataset.inputs), dataset)
 
 
-def _full_precision_twin(proto: Prototype) -> Prototype:
-    if proto.precision == "full":
-        return proto
-    return Prototype(proto.id, proto.layer_widths, proto.activation, "full")
-
-
 def feddf_fuse(
     teachers: list[ParamVector],
     init: ParamVector,
@@ -374,6 +360,14 @@ def feddf_fuse(
     may block the teachers' matmuls differently: over 1,400 random pool and
     batch sizes on x86_64 OpenBLAS, a target probability moved by at most
     4.4e-16.
+
+    Checked once per fusion: val fits the student and has finite inputs;
+    the heldout rows (by the teachers' checked forward) and cached targets
+    (finite, non-negative, rows summing to 1). A noise batch's rows and
+    targets are checked per batch; every step checks the student's logits
+    and gradient (numerics._trainer). The student trains in place and is
+    scored through models._forward; the result equals a loop of
+    numerics.grad, numerics.opt_step and top1_accuracy bitwise.
     """
     if not teachers:
         raise ValueError("feddf_fuse needs at least one teacher")
@@ -382,18 +376,30 @@ def feddf_fuse(
         raise ShapeError(f"pool dim {cfg.pool.dim} != model input width {proto.n_inputs}")
     if cfg.max_steps == 0:
         return init.copy(), 0
-    student_proto = _full_precision_twin(proto)
-    student = ParamVector(student_proto, init.values.copy())
+    student_proto = replace(proto, precision="full")
+    _check_fits(student_proto, val, "val")
     opt = numerics.OptimizerState.adam(
         cfg.base_lr, student_proto.n_params, schedule="cosine", total_steps=cfg.max_steps
     )
+    values = init.values.copy()
+    step = numerics._trainer(student_proto, values, opt)
+    layers = unflatten(student_proto, values)
+    val_out = [(np.empty((len(val), w)), np.empty((len(val), w))) for w in student_proto.layer_widths[1:]]
+
+    def score() -> float:
+        return _accuracy(_forward(student_proto, layers, val.inputs, False, val_out)[0], val)
+
+    def teacher_targets(x: np.ndarray) -> np.ndarray:
+        q = numerics.softmax(ensemble_logits(teachers, x))
+        return numerics._check_probs(q, "teacher targets", (x.shape[0], proto.n_classes))
+
     best_values = init.values.copy()
-    best_acc = top1_accuracy(student, val)
+    best_acc = score()
     best_step = 0
     steps = 0
     pool = cfg.pool
     if pool.kind == "heldout":
-        pool_targets = numerics.softmax(ensemble_logits(teachers, pool.inputs))
+        pool_targets = teacher_targets(pool.inputs)
     for _ in range(cfg.max_steps):
         if pool.kind == "heldout":
             rows = sample_distill_rows(pool, rng)
@@ -401,14 +407,13 @@ def feddf_fuse(
             targets = pool_targets[rows]
         else:
             batch = sample_distill_batch(pool, rng)
-            targets = numerics.softmax(ensemble_logits(teachers, batch))
-        g = numerics.grad("kl_vs_target", student, batch, target_probs=targets)
-        student, opt = numerics.opt_step(opt, student, g)
+            targets = teacher_targets(batch)
+        step(batch, numerics._kl_dlogits, targets)
         steps += 1
-        acc = top1_accuracy(student, val)
+        acc = score()
         if acc > best_acc:
             best_acc = acc
-            best_values = student.values.copy()
+            best_values = values.copy()
             best_step = steps
         if steps - best_step >= cfg.patience:
             break

@@ -366,7 +366,10 @@ def _parse_grid(raw: str) -> tuple[float, float, int] | None:
     parts = [tok.strip() for tok in raw.split(",")]
     if len(parts) != 3:
         raise ValueError("grid must be 'lo,hi,resolution' or 'none'")
-    return float(parts[0]), float(parts[1]), int(parts[2])
+    lo, hi, res = float(parts[0]), float(parts[1]), int(parts[2])
+    if not lo < hi or res < 2:
+        raise ValueError("grid needs lo < hi and resolution >= 2")
+    return lo, hi, res
 
 
 def _parse_target(raw: str) -> tuple[str, float]:
@@ -528,7 +531,8 @@ def load_experiment_config(path) -> ExperimentConfig:
         grid_clients=grid_clients,
     )
     # fail fast on federated-level mistakes before any data work
-    _build_fl_config(cfg, strategies[0], seeds[0], probe=True)
+    for strategy in strategies:
+        _build_fl_config(cfg, strategy, seeds[0], probe=True)
     return cfg
 
 
@@ -571,6 +575,14 @@ def _build_pool(cfg: ExperimentConfig, pool_inputs: np.ndarray | None, dim: int)
     return DistillPool.gaussian_noise(dim, d["batch_size"])
 
 
+def _probe(build, *keys: str):
+    """Run a library constructor on config values; its ValueError becomes a ConfigError."""
+    try:
+        return build()
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {' or '.join(keys)}: {exc}") from exc
+
+
 def _build_fl_config(
     cfg: ExperimentConfig,
     strategy: str,
@@ -578,13 +590,16 @@ def _build_fl_config(
     pool_inputs: np.ndarray | None = None,
     probe: bool = False,
 ) -> FLConfig:
+    """The arm's FLConfig; probe=True builds it at load time, prototypes included."""
+    dim = cfg.prototype_widths[0][0]
+    if probe:
+        _probe(cfg.prototypes, "federated.activation", "federated.precision")
+        pool_inputs = np.zeros((1, dim))  # stands in for a seed's heldout rows
     distill = None
     if strategy in ("feddf", "feddf_hetero"):
         d = cfg.distill
-        if probe:
-            pool = DistillPool.gaussian_noise(cfg.prototype_widths[0][0], d["batch_size"])
-        else:
-            pool = _build_pool(cfg, pool_inputs, cfg.prototype_widths[0][0])
+        keys = ("distillation.batch_size", "distillation.noise_low", "distillation.noise_high")
+        pool = _probe(lambda: _build_pool(cfg, pool_inputs, dim), *keys)
         distill = DistillConfig(
             max_steps=d["max_steps"],
             patience=d["patience"],
@@ -783,6 +798,8 @@ def load_bound_config(path) -> BoundSuiteConfig:
     if not 0.0 < delta < 1.0:
         raise ConfigError("bound.delta must lie in (0, 1)")
     seed = _get(parser, "bound", "seed", int, default=0)
+    if seed < 0:
+        raise ConfigError(f"bound.seed must be >= 0, got {seed}")
     k_clients = _get(parser, "bound", "k_clients", _parse_count_or_random, default=None)
     m = _get(parser, "bound", "m", _parse_count_or_random, default=None)
     for key, value in (("grid_size", grid_size), ("ref_size", ref_size), ("k_clients", k_clients), ("m", m)):

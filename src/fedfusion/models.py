@@ -167,11 +167,13 @@ def forward_cached(
 
 
 def _forward(
-    proto: Prototype, layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray, binarize: bool
+    proto: Prototype, layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray, binarize: bool, out=None
 ) -> tuple[np.ndarray, tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]]:
     """forward_cached without its checks, over per-layer (W, b) views of unflatten.
 
-    The caller vouches for x: float64, (batch, n_inputs), finite.
+    The caller vouches for x: float64, (batch, n_inputs), finite. out, if
+    given, holds per-layer (preactivation, activation) buffers of shape
+    (batch, layer width) that the pass writes into instead of allocating.
     """
     layer_inputs = [x]
     preacts: list[np.ndarray] = []
@@ -181,11 +183,13 @@ def _forward(
     for l, (w, b) in enumerate(layers):
         if binarize:
             w = binarize_layer(w)
-        z = a @ w + b
+        z_out, a_out = (None, None) if out is None else out[l]
+        z = np.matmul(a, w, out=z_out)
+        z += b
         preacts.append(z)
         eff_weights.append(w)
         if l < last:
-            a = np.maximum(z, 0.0) if proto.activation == "relu" else np.tanh(z)
+            a = np.maximum(z, 0.0, out=a_out) if proto.activation == "relu" else np.tanh(z, out=a_out)
             layer_inputs.append(a)
     return preacts[-1], (layer_inputs, preacts, eff_weights)
 

@@ -7,14 +7,14 @@ prototype's forward pass uses binarized weights and the backward pass treats
 binarization as identity (straight-through estimator), so the gradient
 applies directly to the full-precision master values.
 
-Checks live at the public entry points (grad, opt_step, and
-flcore.client_local_update). Beneath them is one private kernel: the
-unchecked forward pass models._forward, the cross-entropy logit gradient
-_ce_dlogits, _backward, which writes into per-layer views of a flat
-buffer, and the optimizer rule _step_in_place. grad and opt_step run it
-once per call on fresh buffers; client_local_update validates a client's
-shard once and then runs every local step through it on buffers made once
-per client.
+Checks live at the public entry points: grad, opt_step, and flcore's two
+training loops, client_local_update and feddf_fuse, which check their fixed
+data once per call. Beneath them is one private kernel: the unchecked
+forward pass models._forward, a logit-gradient rule (_ce_dlogits or
+_kl_dlogits), _backward into per-layer views of a flat buffer, and the
+optimizer rule _step_in_place. grad and opt_step run these pieces on fresh
+buffers; the step that _trainer makes once per client or per fusion runs
+them in place, checking the logits and the gradient.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._errors import ShapeError
-from .models import ParamVector, forward_cached, unflatten
+from .models import ParamVector, _forward, forward_cached, unflatten
 
 _NORM_TOL = 1e-8
 _KL_FLOOR = 1e-12
@@ -46,25 +46,24 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return out[0] if single else out
 
 
-def _check_prob_vector(p: np.ndarray, name: str) -> np.ndarray:
+def _check_probs(p: np.ndarray, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """p as float64 of the given shape: finite, non-negative, each row summing to 1."""
     p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1:
-        raise ShapeError(f"{name} must be a 1-D probability vector, got shape {p.shape}")
+    if p.shape != shape:
+        raise ShapeError(f"{name} has shape {p.shape}, expected {shape}")
     if not np.isfinite(p).all():
         raise ValueError(f"{name} contains non-finite values")
     if (p < 0).any():
         raise ValueError(f"{name} has negative entries")
-    if abs(p.sum() - 1.0) > _NORM_TOL:
-        raise ValueError(f"{name} is not normalized (sum {p.sum()!r})")
+    if np.abs(p.sum(axis=-1) - 1.0).max() > _NORM_TOL:
+        raise ValueError(f"{name} is not normalized")
     return p
 
 
 def kl_div(target: np.ndarray, pred: np.ndarray) -> float:
     """KL(target || pred) for probability vectors, with 0 * log(0/q) = 0."""
-    t = _check_prob_vector(target, "target")
-    q = _check_prob_vector(pred, "pred")
-    if t.shape != q.shape:
-        raise ShapeError(f"target shape {t.shape} != pred shape {q.shape}")
+    t = _check_probs(target, "target", (np.size(target),))
+    q = _check_probs(pred, "pred", t.shape)
     support = t > 0
     q_safe = np.maximum(q[support], _KL_FLOOR)
     val = float(np.sum(t[support] * np.log(t[support] / q_safe)))
@@ -171,23 +170,23 @@ def opt_step(state: OptimizerState, params: ParamVector, grad_flat: np.ndarray) 
         raise ValueError("gradient contains non-finite values")
     new_values = params.values.copy()
     new_state = replace(state)
+    if state.kind == "adam":
+        new_state.m, new_state.v = state.m.copy(), state.v.copy()
     _step_in_place(new_state, new_values, g)
     return ParamVector(params.prototype, new_values), new_state
 
 
 def _step_in_place(state: OptimizerState, values: np.ndarray, g: np.ndarray) -> None:
-    """The optimizer rule: updates values in place and advances state.
-
-    Adam rebinds state.m and state.v to new arrays rather than writing into
-    them, so a shallow copy of the state leaves the original untouched.
-    """
+    """The optimizer rule: updates values, and Adam's m and v, in place; advances state."""
     lr = current_lr(state)
     t = state.step_count + 1
     if state.kind == "sgd":
         values -= lr * g
     else:
-        state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
-        state.v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
+        state.m *= state.beta1
+        state.m += (1.0 - state.beta1) * g
+        state.v *= state.beta2
+        state.v += (1.0 - state.beta2) * g * g
         m_hat = state.m / (1.0 - state.beta1**t)
         v_hat = state.v / (1.0 - state.beta2**t)
         values -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
@@ -199,6 +198,13 @@ def _ce_dlogits(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     batch = probs.shape[0]
     probs[np.arange(batch), labels] -= 1.0
     probs /= batch
+    return probs
+
+
+def _kl_dlogits(probs: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Gradient of mean KL(target row || softmax(logits row)) w.r.t. the logits, in probs' buffer."""
+    probs -= targets
+    probs /= probs.shape[0]
     return probs
 
 
@@ -254,18 +260,31 @@ def grad(
     elif loss_kind == "kl_vs_target":
         if target_probs is None:
             raise ValueError("loss_kind 'kl_vs_target' requires target_probs")
-        q = np.asarray(target_probs, dtype=np.float64)
-        if q.shape != logits.shape:
-            raise ShapeError(f"target_probs shape {q.shape} != logits shape {logits.shape}")
-        if not np.isfinite(q).all():
-            raise ValueError("target_probs contain non-finite values")
-        if (q < 0).any():
-            raise ValueError("target_probs have negative entries")
-        if np.abs(q.sum(axis=1) - 1.0).max() > _NORM_TOL:
-            raise ValueError("target_probs rows are not normalized")
-        dlogits = (probs - q) / batch
+        dlogits = _kl_dlogits(probs, _check_probs(target_probs, "target_probs", logits.shape))
     else:
         raise ValueError(f"unknown loss_kind {loss_kind!r}")
     grad_flat = np.empty(proto.n_params, dtype=np.float64)
     _backward(proto, caches, dlogits, unflatten(proto, grad_flat))
     return grad_flat
+
+
+def _trainer(proto, values: np.ndarray, state: OptimizerState, prox_mu=0.0, anchor_values=None):
+    """The one training step of local SGD and distillation, step(x, rule, target).
+
+    It trains values in place: forward, softmax, rule(probs, target), backward
+    into one gradient buffer, prox_mu * (values - anchor_values), the finite-
+    gradient check and the optimizer rule. The caller vouches for x and target.
+    """
+    layers, g = unflatten(proto, values), np.empty_like(values)
+    grads, binarize = unflatten(proto, g), proto.precision == "binary_ste"
+
+    def step(x: np.ndarray, rule, target: np.ndarray) -> None:
+        logits, caches = _forward(proto, layers, x, binarize)
+        _backward(proto, caches, rule(softmax(logits), target), grads)
+        if prox_mu != 0.0:
+            np.add(g, prox_mu * (values - anchor_values), out=g)
+        if not np.isfinite(g).all():
+            raise ValueError("gradient contains non-finite values")
+        _step_in_place(state, values, g)
+
+    return step

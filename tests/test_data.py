@@ -119,6 +119,14 @@ def test_partition_rebalance_leaves_no_empty_shard():
     assert np.array_equal(merged, np.arange(40))
 
 
+def test_partition_rejects_more_clients_than_samples():
+    labels = np.repeat(np.arange(5), 1)
+    with pytest.raises(ValueError, match="cannot split 5 samples across 8 clients"):
+        dirichlet_partition(labels, PartitionSpec(1.0, 8, seed=0))
+    shards = dirichlet_partition(labels, PartitionSpec(1.0, 5, seed=0))
+    assert sorted(len(ix) for ix in shards) == [1] * 5
+
+
 def test_label_entropy_values():
     assert label_entropy(np.array([0, 1, 0, 1]), 2) == pytest.approx(math.log(2.0), abs=1e-12)
     single = label_entropy(np.array([3, 3, 3]), 5)

@@ -79,6 +79,15 @@ def test_top1_accuracy_hand_case():
     assert top1_accuracy(pv, ds) == 1.0
 
 
+def test_accuracy_counts_hits_as_the_mean_did_bitwise():
+    for n in range(1, 401):
+        assert all(c / n == float((np.arange(n) < c).mean()) for c in range(n + 1))
+    rng = np.random.default_rng(1)
+    logits = rng.normal(size=(400, 10))
+    ds = ff.Dataset(rng.normal(size=(400, 2)), rng.integers(0, 10, 400), 10)
+    assert flcore._accuracy(logits, ds) == float((np.argmax(logits, axis=1) == ds.labels).mean())
+
+
 def test_local_update_zero_epochs_copies_start():
     train, _, shards, proto = small_task()
     start = init_params(proto, 0)
@@ -238,13 +247,18 @@ def test_feddf_fuse_early_stops_on_plateau():
 def fused_targets(monkeypatch, teachers, init, cfg, val):
     """(batch, target probabilities) of every step feddf_fuse takes."""
     seen = []
-    real_grad = numerics.grad
+    real_trainer = numerics._trainer
 
-    def spy(loss_kind, params, inputs, **kw):
-        seen.append((inputs, kw["target_probs"]))
-        return real_grad(loss_kind, params, inputs, **kw)
+    def spy_trainer(*args, **kwargs):
+        step = real_trainer(*args, **kwargs)
 
-    monkeypatch.setattr(numerics, "grad", spy)
+        def spy(inputs, rule, targets):
+            seen.append((inputs, targets))
+            return step(inputs, rule, targets)
+
+        return spy
+
+    monkeypatch.setattr(numerics, "_trainer", spy_trainer)
     _, steps = feddf_fuse(teachers, init, cfg, val, np.random.default_rng(0))
     assert len(seen) == steps
     return seen
@@ -279,6 +293,107 @@ def test_heldout_targets_match_per_batch_targets_at_any_row_count(monkeypatch):
         for inputs, targets in fused_targets(monkeypatch, teachers, init_params(protos[0], 9), cfg, val):
             expect = numerics.softmax(ensemble_logits(teachers, inputs))
             np.testing.assert_allclose(targets, expect, rtol=0.0, atol=1e-14)
+
+
+def reference_fuse(teachers, init, cfg, val, rng):
+    """feddf_fuse written with the public numerics.grad, opt_step and top1_accuracy."""
+    proto = init.prototype
+    twin = Prototype(proto.id, proto.layer_widths, proto.activation, "full")
+    student = ParamVector(twin, init.values.copy())
+    opt = numerics.OptimizerState.adam(cfg.base_lr, twin.n_params, schedule="cosine", total_steps=cfg.max_steps)
+    best_values, best_acc, best_step, steps = init.values.copy(), top1_accuracy(student, val), 0, 0
+    pool = cfg.pool
+    if pool.kind == "heldout":
+        pool_targets = numerics.softmax(ensemble_logits(teachers, pool.inputs))
+    for _ in range(cfg.max_steps):
+        if pool.kind == "heldout":
+            rows = ff.data.sample_distill_rows(pool, rng)
+            batch, targets = pool.inputs[rows], pool_targets[rows]
+        else:
+            batch = ff.sample_distill_batch(pool, rng)
+            targets = numerics.softmax(ensemble_logits(teachers, batch))
+        g = numerics.grad("kl_vs_target", student, batch, target_probs=targets)
+        student, opt = numerics.opt_step(opt, student, g)
+        steps += 1
+        acc = top1_accuracy(student, val)
+        if acc > best_acc:
+            best_acc, best_values, best_step = acc, student.values.copy(), steps
+        if steps - best_step >= cfg.patience:
+            break
+    return ParamVector(proto, best_values), steps
+
+
+def fusion_case(pool_kind, activation, precision, init_mode, max_steps, patience):
+    """Trained (teachers, init, cfg, val) of a 3-class fusion."""
+    _, val, shards, _ = small_task(seed=4)
+    proto = Prototype("m", (2, 12, 3), activation, precision)
+    teachers = [
+        client_local_update(init_params(proto, s), shards[s], 3, 0.05, 16, np.random.default_rng(s))
+        for s in range(3)
+    ]
+    if precision == "binary_ste":  # clients transmit their binarized copies
+        teachers = [ParamVector(proto, binarize_values(proto, t.values)) for t in teachers]
+    init = ff.average_params(teachers, [len(shards[s]) for s in range(3)])
+    if init_mode == "from_previous":
+        init = init_params(proto, 11)
+    pool = {
+        "heldout": lambda: ff.DistillPool.heldout(np.random.default_rng(3).normal(scale=2.0, size=(45, 2)), 16),
+        "uniform_noise": lambda: uniform_pool(16),
+        "gaussian_noise": lambda: ff.DistillPool.gaussian_noise(2, 16),
+    }[pool_kind]()
+    cfg = DistillConfig(max_steps, patience, pool, base_lr=0.01, init_mode=init_mode)
+    return teachers, init, cfg, val
+
+
+FUSION_CASES = [
+    (pool_kind, activation, precision, init_mode, 30, 30)
+    for pool_kind in ("heldout", "uniform_noise", "gaussian_noise")
+    for activation in ("relu", "tanh")
+    for precision in ("full", "binary_ste")
+    for init_mode in ("from_average", "from_previous")
+] + [("heldout", "relu", "full", "from_average", 400, 5)]  # stops on patience
+
+
+@pytest.mark.parametrize("pool_kind, activation, precision, init_mode, max_steps, patience", FUSION_CASES)
+def test_feddf_fuse_equals_grad_opt_step_loop_bitwise(pool_kind, activation, precision, init_mode, max_steps, patience):
+    teachers, init, cfg, val = fusion_case(pool_kind, activation, precision, init_mode, max_steps, patience)
+    fused, steps = feddf_fuse(teachers, init, cfg, val, np.random.default_rng(8))
+    cfg.pool.reset()
+    ref, ref_steps = reference_fuse(teachers, init, cfg, val, np.random.default_rng(8))
+    assert steps == ref_steps
+    assert steps == max_steps if patience == max_steps else steps < max_steps
+    assert fused.prototype == ref.prototype == init.prototype
+    assert np.array_equal(fused.values, ref.values)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("pool_kind", ["heldout", "gaussian_noise"])
+def test_diverging_student_raises_the_reference_loop_error(pool_kind):
+    teachers, init, cfg, val = fusion_case(pool_kind, "relu", "full", "from_average", 30, 30)
+    cfg.base_lr = 1e300
+    with pytest.raises(ValueError) as ours:
+        feddf_fuse(teachers, init, cfg, val, np.random.default_rng(8))
+    cfg.pool.reset()
+    with pytest.raises(ValueError) as ref:
+        reference_fuse(teachers, init, cfg, val, np.random.default_rng(8))
+    assert str(ours.value) == str(ref.value)
+    assert "non-finite values" in str(ours.value)
+
+
+def test_feddf_fuse_checks_its_fixed_data_once_per_fusion():
+    teachers, init, cfg, val = fusion_case("heldout", "relu", "full", "from_average", 5, 5)
+    bad_val = val.subset(np.arange(len(val)))
+    bad_val.inputs[3, 1] = np.inf
+    with pytest.raises(ValueError, match="inputs contain non-finite values"):
+        feddf_fuse(teachers, init, cfg, bad_val, np.random.default_rng(0))
+    wide = ff.Dataset(val.inputs, val.labels, 4)
+    with pytest.raises(ShapeError, match="does not fit"):
+        feddf_fuse(teachers, init, cfg, wide, np.random.default_rng(0))
+    rows = np.random.default_rng(3).normal(size=(45, 2))
+    rows[40, 0] = np.nan
+    cfg = DistillConfig(5, 5, ff.DistillPool.heldout(rows, 16))
+    with pytest.raises(ValueError, match="inputs contain non-finite values"):
+        feddf_fuse(teachers, init, cfg, val, np.random.default_rng(0))
 
 
 def test_heldout_fusion_runs_the_teachers_once(monkeypatch):

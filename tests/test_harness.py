@@ -1,5 +1,6 @@
 """Tests for the experiment harness: configs, metrics files, grids, CLI."""
 
+import configparser
 import json
 import os
 import subprocess
@@ -533,6 +534,36 @@ class TestCli:
         assert cli_main(["bound-check", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and f"bound.{line.split()[0]}" in err
+
+    @pytest.mark.parametrize(
+        "section, changes, key",
+        [
+            ("federated", {"activation": "bogus"}, "federated.activation"),
+            ("federated", {"precision": "bogus"}, "federated.precision"),
+            ("distillation", {"batch_size": "0"}, "distillation.batch_size"),
+            ("distillation", {"pool": "uniform_noise", "noise_low": "3", "noise_high": "-3"}, "distillation.noise_low"),
+            ("evaluation", {"grid": "-3,3,1"}, "evaluation.grid"),
+            ("bound", {"seed": "-1"}, "bound.seed"),
+        ],
+    )
+    def test_value_the_library_rejects_exits_one_at_load(self, tmp_path, capsys, section, changes, key):
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        if section == "bound":
+            command = "bound-check"
+            parser.read_string(f"[bound]\ninstances = 2\noutput = {tmp_path / 'bout'}\n")
+        else:
+            command = "run"
+            readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+            parser.read_string(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+            parser["experiment"]["output"] = str(tmp_path / "out")
+        parser[section].update(changes)
+        path = tmp_path / "bad.ini"
+        with open(path, "w") as fh:
+            parser.write(fh)
+        assert cli_main([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+        assert not (tmp_path / "out").exists() and not (tmp_path / "bout").exists()
 
     def test_parallel_flag_is_gone(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as info:

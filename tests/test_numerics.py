@@ -265,6 +265,27 @@ def test_in_place_rule_equals_opt_step_bitwise(kind):
             assert np.array_equal(live.m, state.m) and np.array_equal(live.v, state.v)
 
 
+def test_logit_gradient_rules_are_the_batch_mean_formulas_bitwise():
+    rng = np.random.default_rng(14)
+    probs = softmax(rng.normal(size=(7, 4)))
+    targets = softmax(rng.normal(size=(7, 4)))
+    labels = rng.integers(0, 4, 7)
+    assert np.array_equal(numerics._kl_dlogits(probs.copy(), targets), (probs - targets) / 7)
+    assert np.array_equal(numerics._ce_dlogits(probs.copy(), labels), (probs - np.eye(4)[labels]) / 7)
+
+
+def test_adam_rule_updates_its_moments_in_place_with_the_same_float_ops():
+    rng = np.random.default_rng(13)
+    state = OptimizerState.adam(1e-2, 20, schedule="cosine", total_steps=4)
+    m, v, values = state.m, state.v, rng.normal(size=20)
+    for g in rng.normal(size=(6, 20)):
+        expect_m = state.beta1 * m + (1.0 - state.beta1) * g
+        expect_v = state.beta2 * v + (1.0 - state.beta2) * g * g
+        numerics._step_in_place(state, values, g)
+        assert state.m is m and state.v is v
+        assert np.array_equal(m, expect_m) and np.array_equal(v, expect_v)
+
+
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
