@@ -2,7 +2,7 @@
 
 Everything here works on finite hypothesis classes (axis-aligned threshold
 rules) and binary-labeled samples, small enough that every quantity in the
-bound is computed exactly by enumeration:
+bound is computed exactly:
 
     L_D(avg of local ERMs) <= L_Dhat(pooled ERM)
                               + (4 + sqrt(log growth(2m))) / ((delta/K) * sqrt(2m))
@@ -13,6 +13,10 @@ symmetric-difference divergence between client k's distribution and the
 global one, and lambda_k the best joint risk achievable on both. True
 distributions are approximated by large reference samples; client
 distributions by the client samples themselves.
+
+Risks and disagreement rates are integer counts over cells (sets of rows that
+every hypothesis labels alike), divided by the row count: bitwise the per-row
+means. ensemble_risk stays per row: its sum of non-integer |votes - y| depends on order.
 """
 
 from __future__ import annotations
@@ -54,6 +58,10 @@ class HypothesisClass:
     hypotheses: tuple[Stump, ...]
     vc_dim: int
     name: str
+
+    def __post_init__(self) -> None:
+        if not self.hypotheses or self.vc_dim < 0:
+            raise ValueError("a hypothesis class needs a hypothesis and a non-negative vc_dim")
 
     def __len__(self) -> int:
         return len(self.hypotheses)
@@ -111,12 +119,39 @@ def ensemble_risk(hypotheses: list[Stump], sample: Dataset) -> float:
     return float(np.abs(votes - sample.labels).mean())
 
 
+def _cells(hclass: HypothesisClass, sample: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(|H|, C) predictions on one row per cell, rows per cell, (|H|,) error counts.
+
+    A cell is one code per axis the class reads, in order of first use (so a missing
+    axis fails as in Stump.predict): 2i below distinct threshold i and above i - 1, 2i + 1 on it.
+    """
+    x = sample.inputs
+    cell = np.zeros(len(x), dtype=np.int64)
+    for axis in dict.fromkeys(h.axis for h in hclass.hypotheses):
+        if axis >= x.shape[1]:
+            raise ShapeError(f"inputs shape {x.shape} lacks axis {axis}")
+        ts = np.unique(np.array([h.threshold for h in hclass.hypotheses if h.axis == axis], np.float64))
+        pos = np.searchsorted(ts, x[:, axis])
+        key = cell * (2 * len(ts) + 1) + 2 * pos + (ts[np.minimum(pos, len(ts) - 1)] == x[:, axis])
+        cell = (np.cumsum(np.bincount(key) > 0) - 1)[key]
+    counts = np.bincount(cell)
+    rep = np.empty(len(counts), dtype=np.int64)
+    rep[cell] = np.arange(len(x))  # any row of a cell represents it
+    ones = np.bincount(cell[sample.labels == 1], minlength=len(counts))
+    preds = hclass.predictions(x[rep])
+    return preds, counts, np.where(preds == 1, counts - ones, ones).sum(axis=1)
+
+
+def _disagreements(cells: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    """Pairwise disagreement rates: (1 - agreement sum / rows) / 2."""
+    s, counts = 2.0 * cells[0] - 1.0, cells[1]
+    return (1.0 - ((s * counts) @ s.T) / counts.sum()) / 2.0
+
+
 def erm(hclass: HypothesisClass, sample: Dataset) -> Stump:
     """Empirical risk minimizer; ties break to the earliest hypothesis."""
     _check_binary(sample, "sample")
-    preds = hclass.predictions(sample.inputs)
-    risks = (preds != sample.labels[None, :]).mean(axis=1)
-    return hclass.hypotheses[int(np.argmin(risks))]
+    return hclass.hypotheses[int(np.argmin(_cells(hclass, sample)[2] / len(sample)))]
 
 
 def sauer_growth(n: int, vc_dim: int) -> float:
@@ -126,21 +161,13 @@ def sauer_growth(n: int, vc_dim: int) -> float:
     return float(sum(math.comb(n, i) for i in range(min(n, vc_dim) + 1)))
 
 
-def _disagreement_matrix(preds: np.ndarray) -> np.ndarray:
-    """Pairwise disagreement rates between hypotheses, from a 0/1 prediction matrix."""
-    s = (2.0 * preds - 1.0).astype(np.float64)
-    agree = (s @ s.T) / preds.shape[1]
-    return (1.0 - agree) / 2.0
-
-
 def h_delta_h_divergence(sample_a: Dataset, sample_b: Dataset, hclass: HypothesisClass) -> float:
     """2 * max over hypothesis pairs of |disagreement rate on A - on B|.
 
     Labels are ignored; only the input marginals matter. Zero when A and B
     are the same sample, and zero for a single-hypothesis class.
     """
-    da = _disagreement_matrix(hclass.predictions(sample_a.inputs))
-    db = _disagreement_matrix(hclass.predictions(sample_b.inputs))
+    da, db = (_disagreements(_cells(hclass, s)) for s in (sample_a, sample_b))
     return float(2.0 * np.abs(da - db).max())
 
 
@@ -148,8 +175,8 @@ def lambda_k(hclass: HypothesisClass, global_sample: Dataset, local_sample: Data
     """min over H of (risk on the global sample + risk on the local sample)."""
     _check_binary(global_sample, "global_sample")
     _check_binary(local_sample, "local_sample")
-    rg = (hclass.predictions(global_sample.inputs) != global_sample.labels[None, :]).mean(axis=1)
-    rl = (hclass.predictions(local_sample.inputs) != local_sample.labels[None, :]).mean(axis=1)
+    rg = _cells(hclass, global_sample)[2] / len(global_sample)
+    rl = _cells(hclass, local_sample)[2] / len(local_sample)
     return float((rg + rl).min())
 
 
@@ -208,29 +235,22 @@ def check_bound(
         if s.dim != global_sample.dim:
             raise ShapeError("local and global samples must share input dimension")
 
-    local_erms = [erm(hclass, s) for s in local_samples]
-    pooled = Dataset(
-        np.concatenate([s.inputs for s in local_samples]),
-        np.concatenate([s.labels for s in local_samples]),
-        2,
-    )
-    pooled_erm = erm(hclass, pooled)
-    erm_term = empirical_risk(pooled_erm, pooled)
+    local_cells = [_cells(hclass, s) for s in local_samples]
+    local_erms = [hclass.hypotheses[int(np.argmin(c[2] / m))] for c in local_cells]
+    # the pooled ERM's risk, from the pooled error counts: the sums of the clients'
+    erm_term = float((sum(c[2] for c in local_cells) / (k_clients * m)).min())
     lhs = ensemble_risk(local_erms, global_sample)
 
     growth = sauer_growth(2 * m, hclass.vc_dim)
     complexity = (4.0 + math.sqrt(math.log(growth))) / ((delta / k_clients) * math.sqrt(2.0 * m))
 
-    preds_global = hclass.predictions(global_sample.inputs)
-    dis_global = _disagreement_matrix(preds_global)
-    risks_global = (preds_global != global_sample.labels[None, :]).mean(axis=1)
+    global_cells = _cells(hclass, global_sample)
+    dis_global = _disagreements(global_cells)
+    risks_global = global_cells[2] / len(global_sample)
     terms: list[tuple[float, float]] = []
-    for s in local_samples:
-        preds_local = hclass.predictions(s.inputs)
-        dis_local = _disagreement_matrix(preds_local)
-        d_val = float(2.0 * np.abs(dis_local - dis_global).max())
-        risks_local = (preds_local != s.labels[None, :]).mean(axis=1)
-        lam = float((risks_global + risks_local).min())
+    for c in local_cells:
+        d_val = float(2.0 * np.abs(_disagreements(c) - dis_global).max())
+        lam = float((risks_global + c[2] / m).min())
         terms.append((0.5 * d_val, lam))
 
     rhs = erm_term + complexity + float(np.mean([h + l for h, l in terms]))

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fedfusion._errors import ShapeError
 from fedfusion.data import Dataset
 from fedfusion.bound import (
+    BoundReport,
     HypothesisClass,
     Stump,
     axis_stumps_2d,
@@ -218,3 +220,147 @@ def test_make_bound_instance_deterministic_and_family_rotation():
     assert a["m"] == b["m"] and a["k_clients"] == b["k_clients"]
     names = {make_bound_instance(s)["hclass"].name for s in range(6)}
     assert len(names) == 3  # mixed family rotates through all three classes
+
+
+# --- per-row reference formulas ---------------------------------------------
+# The bound module counts risks and disagreements per cell; these are the
+# per-row formulas it replaced, kept as the reference it must equal bitwise.
+
+
+def reference_risks(hclass, sample):
+    return (hclass.predictions(sample.inputs) != sample.labels[None, :]).mean(axis=1)
+
+
+def reference_disagreement_matrix(preds):
+    s = (2.0 * preds - 1.0).astype(np.float64)
+    agree = (s @ s.T) / preds.shape[1]
+    return (1.0 - agree) / 2.0
+
+
+def reference_erm(hclass, sample):
+    return hclass.hypotheses[int(np.argmin(reference_risks(hclass, sample)))]
+
+
+def reference_divergence(sample_a, sample_b, hclass):
+    da = reference_disagreement_matrix(hclass.predictions(sample_a.inputs))
+    db = reference_disagreement_matrix(hclass.predictions(sample_b.inputs))
+    return float(2.0 * np.abs(da - db).max())
+
+
+def reference_lambda(hclass, global_sample, local_sample):
+    return float((reference_risks(hclass, global_sample) + reference_risks(hclass, local_sample)).min())
+
+
+def reference_check_bound(k_clients, m, delta, hclass, global_sample, local_samples):
+    local_erms = [reference_erm(hclass, s) for s in local_samples]
+    pooled = Dataset(
+        np.concatenate([s.inputs for s in local_samples]),
+        np.concatenate([s.labels for s in local_samples]),
+        2,
+    )
+    erm_term = empirical_risk(reference_erm(hclass, pooled), pooled)
+    lhs = ensemble_risk(local_erms, global_sample)
+    growth = sauer_growth(2 * m, hclass.vc_dim)
+    complexity = (4.0 + math.sqrt(math.log(growth))) / ((delta / k_clients) * math.sqrt(2.0 * m))
+    terms = [
+        (0.5 * reference_divergence(s, global_sample, hclass), reference_lambda(hclass, global_sample, s))
+        for s in local_samples
+    ]
+    rhs = erm_term + complexity + float(np.mean([h + l for h, l in terms]))
+    return BoundReport(lhs, erm_term, complexity, terms, rhs, bool(lhs <= rhs + 1e-12), bool(rhs >= 1.0))
+
+
+GRID = st.lists(st.integers(-8, 8).map(lambda v: v / 4.0), min_size=1, max_size=6)
+FAMILIES = {
+    "thresholds_1d": thresholds_1d,
+    "signed_thresholds_1d": signed_thresholds_1d,
+    "axis_stumps_2d": axis_stumps_2d,
+}
+
+
+@st.composite
+def bound_cases(draw):
+    """A class (a family, or raw stumps with unsorted and repeated thresholds)
+    and samples whose inputs often sit exactly on a threshold."""
+    grid = draw(GRID)
+    kind = draw(st.sampled_from(sorted(FAMILIES) + ["raw"]))
+    if kind == "raw":
+        stump = st.builds(Stump, st.integers(0, 1), st.sampled_from(grid), st.sampled_from([1, -1]))
+        hclass = HypothesisClass(tuple(draw(st.lists(stump, min_size=1, max_size=6))), 2, "raw")
+    else:
+        hclass = FAMILIES[kind](grid)
+    dim = 1 + max(h.axis for h in hclass.hypotheses)
+    value = st.one_of(st.sampled_from(grid), st.floats(-3.0, 3.0, allow_nan=False))
+
+    def sample(n):
+        rows = draw(st.lists(st.lists(value, min_size=dim, max_size=dim), min_size=n, max_size=n))
+        labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        return Dataset(np.array(rows), np.array(labels), 2)
+
+    k, m = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    local_samples = [sample(m) for _ in range(k)]
+    return hclass, sample(draw(st.integers(1, 24))), local_samples, k, m
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=bound_cases())
+def test_cell_counts_equal_the_per_row_formulas_bitwise(case):
+    hclass, global_sample, local_samples, k, m = case
+    for s in [global_sample] + local_samples:
+        assert erm(hclass, s) is reference_erm(hclass, s)
+        assert lambda_k(hclass, global_sample, s) == reference_lambda(hclass, global_sample, s)
+        assert h_delta_h_divergence(s, global_sample, hclass) == reference_divergence(
+            s, global_sample, hclass
+        )
+    got = check_bound(k, m, 0.5, hclass, global_sample, local_samples)
+    want = reference_check_bound(k, m, 0.5, hclass, global_sample, local_samples)
+    assert got.to_dict() == want.to_dict()
+
+
+def test_cell_counts_equal_the_per_row_formulas_on_default_instances():
+    for seed in range(6):
+        inst = make_bound_instance(seed)
+        got = check_bound(**bound_args(inst)).to_dict()
+        assert got == reference_check_bound(**bound_args(inst)).to_dict()
+
+
+def test_missing_axis_raises_the_stump_shape_error():
+    # the first stump that does not fit names the axis, as in Stump.predict
+    hclass = HypothesisClass((Stump(0, 0.0, 1), Stump(3, 0.0, 1), Stump(2, 0.0, 1)), 3, "gap")
+    sample = Dataset(np.zeros((3, 2)), np.array([0, 1, 0]), 2)
+    with pytest.raises(ShapeError) as from_predict:
+        hclass.predictions(sample.inputs)
+    assert "lacks axis 3" in str(from_predict.value)
+    for call in (
+        lambda: erm(hclass, sample),
+        lambda: lambda_k(hclass, sample, sample),
+        lambda: h_delta_h_divergence(sample, sample, hclass),
+        lambda: check_bound(1, 3, 0.5, hclass, sample, [sample]),
+    ):
+        with pytest.raises(ShapeError) as raised:
+            call()
+        assert str(raised.value) == str(from_predict.value)
+
+
+def test_hypothesis_class_rejects_empty_tuple_and_negative_vc_dim():
+    with pytest.raises(ValueError):
+        HypothesisClass((), 1, "empty")
+    with pytest.raises(ValueError):
+        HypothesisClass((Stump(0, 0.0, 1),), -1, "negative")
+
+
+# make_bound_instance(seed, k_clients=1, m=2000, delta=0.5) is non-vacuous for
+# every seed in 0..59 but these; on the other 55 the smallest slack is 0.3047
+VACUOUS_AT_M2000 = {3, 27, 45, 54, 57}
+
+
+def test_bound_holds_with_margin_where_it_is_not_vacuous():
+    """Unlike the default instances (all vacuous, so any risk 'holds'), these
+    can fail: a dropped term eats the margin, an inflated one makes rhs >= 1."""
+    for seed in range(60):
+        report = check_bound(**bound_args(make_bound_instance(seed, k_clients=1, m=2000, delta=0.5)))
+        if seed in VACUOUS_AT_M2000:
+            assert report.vacuous, seed
+            continue
+        assert report.holds and not report.vacuous, seed
+        assert report.rhs - report.lhs >= 0.3, seed
