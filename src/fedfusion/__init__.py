@@ -15,7 +15,6 @@ from .models import (
     ParamVector,
     Prototype,
     average_params,
-    binarize_ste_grad,
     binarize_values,
     init_params,
     load_params,

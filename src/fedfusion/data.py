@@ -99,8 +99,8 @@ class PartitionSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+        if not (np.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
         if self.client_count < 1:
             raise ValueError("client_count must be positive")
 

@@ -1,49 +1,14 @@
 """Experiment orchestration: config files, metrics artifacts, summaries, grids.
 
-Config files are INI format (configparser). A full experiment file looks like
+Config files are INI format (configparser). Each key a file may set is one
+row of a schema table (_EXPERIMENT_SCHEMA, _BOUND_SCHEMA): its section, cast,
+default, check and summary echo; README.md's Config reference lists every
+row. One loader reads a file through a table into a config object with one
+attribute per key. Unknown sections and keys are a ConfigError, as are bad
+values: the table's checks, the rules that relate several keys and the
+library's own validators all run at load, before any data work.
 
-    [experiment]
-    schema_version = 1
-    seeds = 0,1,2
-    output = runs/demo
-
-    [dataset]
-    classes = 3
-    per_class = 200
-    scale = 0.8
-    centers = auto
-    test_per_class = 200
-    val_fraction = 0.15
-
-    [partition]
-    alpha = 1.0
-
-    [federated]
-    rounds = 10
-    clients = 20
-    participation = 0.4
-    local_epochs = 20
-    local_lr = 0.05
-    local_batch = 32
-    strategies = fedavg, feddf
-    prototypes = 2,32,32,3
-
-    [distillation]
-    max_steps = 200
-    patience = 60
-    base_lr = 0.001
-    init_mode = from_average
-    pool = heldout
-    pool_size = 256
-    batch_size = 64
-
-    [evaluation]
-    target = relative:0.9
-    centralized_epochs = 60
-    grid = none
-
-Unknown sections and keys are a ConfigError, as are bad values. Each
-(seed, strategy) arm is one flcore.run_training call. Its RoundRecords go to
+Each (seed, strategy) arm is one flcore.run_training call. Its RoundRecords go to
 <output>/seed<k>/<strategy>/metrics.jsonl, one line each: as_dict() plus
 wall_ms, the round wall time run_training stamps on each record and the only
 nondeterministic field. The aggregate summary.json is byte-identical across
@@ -56,8 +21,10 @@ from __future__ import annotations
 import configparser
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -70,7 +37,6 @@ from .data import (
     dirichlet_partition,
     label_entropy,
     make_gaussian_blobs,
-    ring_centers,
     save_dataset,
     split_train_val,
 )
@@ -175,146 +141,8 @@ def _derive_seed(seed: int, tag: int) -> int:
     return int(np.random.SeedSequence([seed, 100 + tag]).generate_state(1, np.uint64)[0])
 
 
-@dataclass
-class ExperimentConfig:
-    """Normalized experiment settings; build one with load_experiment_config."""
-
-    schema_version: int
-    seeds: list[int]
-    output_root: str
-    classes: int
-    per_class: int
-    scale: float
-    centers: np.ndarray | None
-    test_per_class: int
-    val_fraction: float
-    alpha: float
-    rounds: int
-    clients: int
-    participation: float
-    local_epochs: int
-    local_lr: float
-    local_batch: int
-    strategies: list[str]
-    prototype_widths: list[tuple[int, ...]]
-    activation: str
-    precision: str
-    prox_mu: float
-    server_momentum: float
-    drop_threshold: float | None
-    distill: dict | None
-    target_mode: str
-    target_value: float
-    centralized_epochs: int
-    grid: tuple[float, float, int] | None
-    save_data: bool
-    grid_clients: bool
-
-    def prototypes(self) -> list[Prototype]:
-        return [
-            Prototype(f"p{i}", widths, self.activation, self.precision)
-            for i, widths in enumerate(self.prototype_widths)
-        ]
-
-    def client_prototype_map(self) -> list[str]:
-        ids = [p.id for p in self.prototypes()]
-        return [ids[k % len(ids)] for k in range(self.clients)]
-
-    def public_dict(self) -> dict:
-        d = {
-            "schema_version": self.schema_version,
-            "seeds": self.seeds,
-            "dataset": {
-                "classes": self.classes,
-                "per_class": self.per_class,
-                "scale": self.scale,
-                "centers": None if self.centers is None else [list(c) for c in self.centers],
-                "test_per_class": self.test_per_class,
-                "val_fraction": self.val_fraction,
-            },
-            "partition": {"alpha": self.alpha},
-            "federated": {
-                "rounds": self.rounds,
-                "clients": self.clients,
-                "participation": self.participation,
-                "local_epochs": self.local_epochs,
-                "local_lr": self.local_lr,
-                "local_batch": self.local_batch,
-                "strategies": self.strategies,
-                "prototypes": [list(w) for w in self.prototype_widths],
-                "activation": self.activation,
-                "precision": self.precision,
-                "prox_mu": self.prox_mu,
-                "server_momentum": self.server_momentum,
-                "drop_threshold": self.drop_threshold,
-            },
-            "distillation": self.distill,
-            "evaluation": {
-                "target_mode": self.target_mode,
-                "target_value": self.target_value,
-                "centralized_epochs": self.centralized_epochs,
-                "grid": list(self.grid) if self.grid else None,
-            },
-        }
-        return d
-
-
-_MISSING = object()
-
-# every section and key a config file may set
-_EXPERIMENT_KEYS = {
-    "experiment": {"schema_version", "seeds", "output"},
-    "dataset": {"classes", "per_class", "scale", "centers", "test_per_class", "val_fraction", "save"},
-    "partition": {"alpha"},
-    "federated": {
-        "rounds", "clients", "participation", "local_epochs", "local_lr", "local_batch",
-        "strategies", "prototypes", "activation", "precision", "prox_mu", "server_momentum",
-        "drop_threshold",
-    },
-    "distillation": {
-        "max_steps", "patience", "base_lr", "init_mode", "pool", "pool_size", "batch_size",
-        "noise_low", "noise_high",
-    },
-    "evaluation": {"target", "centralized_epochs", "grid", "grid_clients"},
-}
-_BOUND_KEYS = {
-    "bound": {"instances", "family", "grid_size", "ref_size", "delta", "seed", "k_clients", "m", "output"}
-}
-
-
-def _read_ini(path, known: dict[str, set[str]]) -> configparser.ConfigParser:
-    """Parse an INI file; a missing file or an unknown section or key is a ConfigError.
-
-    Keys of the DEFAULT section show up in every section and are not checked.
-    """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    parser.read(path)
-    for section in parser.sections():
-        if section not in known:
-            raise ConfigError(f"unknown section [{section}]")
-        unknown = sorted(set(parser.options(section)) - set(parser.defaults()) - known[section])
-        if unknown:
-            raise ConfigError("unknown key " + ", ".join(f"{section}.{k}" for k in unknown))
-    return parser
-
-
-def _get(parser: configparser.ConfigParser, section: str, key: str, cast, default=_MISSING):
-    if not parser.has_section(section):
-        if default is not _MISSING:
-            return default
-        raise ConfigError(f"missing section [{section}]")
-    if not parser.has_option(section, key):
-        if default is not _MISSING:
-            return default
-        raise ConfigError(f"missing {section}.{key}")
-    raw = parser.get(section, key).strip()
-    try:
-        return cast(raw)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad value for {section}.{key}: {raw!r} ({exc})") from exc
+_REQUIRED = object()
+_DISTILLING = ("feddf", "feddf_hetero")
 
 
 def _parse_bool(raw: str) -> bool:
@@ -360,9 +188,15 @@ def _parse_widths_list(raw: str) -> list[tuple[int, ...]]:
     return groups
 
 
-def _parse_grid(raw: str) -> tuple[float, float, int] | None:
-    if raw.lower() in ("none", ""):
-        return None
+def _or_none(cast):
+    return lambda raw: None if raw.lower() in ("none", "") else cast(raw)
+
+
+def _parse_drop_threshold(raw: str) -> float | str:
+    return "auto" if raw.lower() == "auto" else float(raw)
+
+
+def _parse_grid(raw: str) -> tuple[float, float, int]:
     parts = [tok.strip() for tok in raw.split(",")]
     if len(parts) != 3:
         raise ValueError("grid must be 'lo,hi,resolution' or 'none'")
@@ -384,155 +218,242 @@ def _parse_target(raw: str) -> tuple[str, float]:
     return mode, float(value)
 
 
+def _parse_count_or_random(raw: str) -> int | None:
+    return None if raw == "random" else int(raw)
+
+
+# checks: a cast value -> a complaint that follows "<section>.<key>", or None
+def _at_least(lo):
+    return lambda v: None if v is None or v >= lo else f"must be >= {lo}, got {v}"
+
+
+def _one_of(*options):
+    listed = ", ".join(map(str, options))
+    return lambda v: None if v in options else f"must be one of {listed}, got {v!r}"
+
+
+def _in_open_unit_interval(v) -> str | None:
+    return None if 0.0 < v < 1.0 else "must lie in (0, 1)"
+
+
+def _check_seeds(seeds: list[int]) -> str | None:
+    distinct = seeds and min(seeds) >= 0 and len(set(seeds)) == len(seeds)
+    return None if distinct else "must be distinct non-negative integers"
+
+
+def _check_strategies(names: list[str]) -> str | None:
+    if not names:
+        return "must name at least one strategy"
+    if len(set(names)) != len(names):
+        return "has duplicates"
+    unknown = [s for s in names if s not in STRATEGIES]
+    return f"names unknown strategy {unknown[0]!r}" if unknown else None
+
+
+class _Key(NamedTuple):
+    """One INI key of a schema table.
+
+    cast turns the stripped text into the value; default stands in when the
+    key is absent (_REQUIRED: it must be set); check complains about a value;
+    echo names the value's entries in summary.json's config echo (None: the
+    key itself; (): not echoed, for settings that only place or add files).
+    """
+
+    section: str
+    key: str
+    cast: Callable[[str], Any]
+    default: Any = _REQUIRED
+    check: Callable[[Any], str | None] | None = None
+    echo: tuple[str, ...] | None = None
+
+
+_EXPERIMENT_SCHEMA = (
+    _Key("experiment", "schema_version", int, check=_one_of(SCHEMA_VERSION)),
+    _Key("experiment", "seeds", _parse_int_list, check=_check_seeds),
+    _Key("experiment", "output", str, echo=()),
+    _Key("dataset", "classes", int, check=_at_least(2)),
+    _Key("dataset", "per_class", int, check=_at_least(1)),
+    _Key("dataset", "scale", float),
+    _Key("dataset", "centers", _parse_centers, None),
+    _Key("dataset", "test_per_class", int, None, _at_least(1)),  # None: per_class
+    _Key("dataset", "val_fraction", float, 0.15, _in_open_unit_interval),
+    _Key("dataset", "save", _parse_bool, False, echo=()),
+    _Key("partition", "alpha", float),
+    _Key("federated", "rounds", int),
+    _Key("federated", "clients", int),
+    _Key("federated", "participation", float),
+    _Key("federated", "local_epochs", int),
+    _Key("federated", "local_lr", float),
+    _Key("federated", "local_batch", int),
+    _Key("federated", "strategies", _parse_str_list, check=_check_strategies),
+    _Key("federated", "prototypes", _parse_widths_list),
+    _Key("federated", "activation", str, "relu"),
+    _Key("federated", "precision", str, "full"),
+    _Key("federated", "prox_mu", float, 0.0),
+    _Key("federated", "server_momentum", float, 0.0),
+    _Key("federated", "drop_threshold", _or_none(_parse_drop_threshold), None),  # "auto": 1.1 / classes
+    _Key("distillation", "max_steps", int),
+    _Key("distillation", "patience", int),
+    _Key("distillation", "base_lr", float, 1e-3),
+    _Key("distillation", "init_mode", str, "from_average"),
+    _Key("distillation", "pool", str, "heldout", _one_of("heldout", "uniform_noise", "gaussian_noise")),
+    _Key("distillation", "pool_size", int, 256, _at_least(1)),
+    _Key("distillation", "batch_size", int, 64),
+    _Key("distillation", "noise_low", float, -3.0),
+    _Key("distillation", "noise_high", float, 3.0),
+    _Key("evaluation", "target", _parse_target, ("none", 0.0), echo=("target_mode", "target_value")),
+    _Key("evaluation", "centralized_epochs", int, 50, _at_least(0)),
+    _Key("evaluation", "grid", _or_none(_parse_grid), None),
+    _Key("evaluation", "grid_clients", _parse_bool, False, echo=()),
+)
+_BOUND_SCHEMA = (
+    _Key("bound", "instances", int, check=_at_least(1)),
+    _Key(
+        "bound", "family", str, "mixed",
+        _one_of("mixed", "thresholds_1d", "signed_thresholds_1d", "axis_stumps_2d"),
+    ),
+    _Key("bound", "grid_size", int, 15, _at_least(1)),
+    _Key("bound", "ref_size", int, 20000, _at_least(1)),
+    _Key("bound", "delta", float, 0.05, _in_open_unit_interval),
+    _Key("bound", "seed", int, 0, _at_least(0)),
+    _Key("bound", "k_clients", _parse_count_or_random, None, _at_least(1)),
+    _Key("bound", "m", _parse_count_or_random, None, _at_least(1)),
+    _Key("bound", "output", str),
+)
+
+
+def _load(path, schema: tuple[_Key, ...], cfg, needed=lambda section, cfg: True):
+    """Read an INI file through a schema into cfg, one attribute per key.
+
+    A missing file, an unknown section or key (keys of the DEFAULT section show
+    up in every section and are exempt), a bad cast, a missing required key or
+    a failed check is a ConfigError naming the key. Rows are read in order; a
+    section for which needed(section, cfg) is false is not read at all.
+    """
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    path = Path(path)
+    if not path.is_file():
+        raise ConfigError(f"config file not found: {path}")
+    parser.read(path)
+    for section in parser.sections():
+        known = {row.key for row in schema if row.section == section}
+        if not known:
+            raise ConfigError(f"unknown section [{section}]")
+        unknown = sorted(set(parser.options(section)) - set(parser.defaults()) - known)
+        if unknown:
+            raise ConfigError("unknown key " + ", ".join(f"{section}.{k}" for k in unknown))
+    for section, key, cast, default, check, _ in schema:
+        if not needed(section, cfg):
+            continue
+        if parser.has_option(section, key):
+            raw = parser.get(section, key).strip()
+            try:
+                value = cast(raw)
+            except (ValueError, TypeError) as exc:
+                raise ConfigError(f"bad value for {section}.{key}: {raw!r} ({exc})") from exc
+        elif default is _REQUIRED:
+            raise ConfigError(f"missing {section}.{key}")
+        else:
+            value = default
+        complaint = check(value) if check else None
+        if complaint:
+            raise ConfigError(f"{section}.{key} {complaint}")
+        setattr(cfg, key, value)
+    return cfg
+
+
+class ExperimentConfig(SimpleNamespace):
+    """Experiment settings, one attribute per _EXPERIMENT_SCHEMA key.
+
+    Build one with load_experiment_config. The [distillation] attributes exist
+    only when distills() is true.
+    """
+
+    def distills(self) -> bool:
+        return any(s in _DISTILLING for s in self.strategies)
+
+    def make_prototypes(self) -> list[Prototype]:
+        return [
+            Prototype(f"p{i}", widths, self.activation, self.precision)
+            for i, widths in enumerate(self.prototypes)
+        ]
+
+    def client_prototype_map(self) -> list[str]:
+        ids = [p.id for p in self.make_prototypes()]
+        return [ids[k % len(ids)] for k in range(self.clients)]
+
+    def public_dict(self) -> dict:
+        """summary.json's config echo, derived from the schema rows.
+
+        Each echoed key sits under its section, [experiment] keys at the top;
+        a section that was not read is null.
+        """
+        echo: dict = {}
+        for row in _EXPERIMENT_SCHEMA:
+            names = (row.key,) if row.echo is None else row.echo
+            if not hasattr(self, row.key):
+                echo[row.section] = None
+            elif names:
+                value = getattr(self, row.key)
+                entries = zip(names, value) if len(names) > 1 else [(row.key, value)]
+                section = echo if row.section == "experiment" else echo.setdefault(row.section, {})
+                section.update(entries)
+        # in JSON terms: tuples and arrays become lists
+        return json.loads(json.dumps(echo, default=np.ndarray.tolist))
+
+
 def load_experiment_config(path) -> ExperimentConfig:
-    """Parse and validate an experiment INI file; ConfigError names the field."""
-    parser = _read_ini(path, _EXPERIMENT_KEYS)
+    """Parse and validate an experiment INI file; ConfigError names the field.
 
-    schema = _get(parser, "experiment", "schema_version", int)
-    if schema != SCHEMA_VERSION:
-        raise ConfigError(f"experiment.schema_version must be {SCHEMA_VERSION}, got {schema}")
-    seeds = _get(parser, "experiment", "seeds", _parse_int_list)
-    if not seeds or any(s < 0 for s in seeds) or len(set(seeds)) != len(seeds):
-        raise ConfigError("experiment.seeds must be distinct non-negative integers")
-    output_root = _get(parser, "experiment", "output", str)
-
-    classes = _get(parser, "dataset", "classes", int)
-    per_class = _get(parser, "dataset", "per_class", int)
-    scale = _get(parser, "dataset", "scale", float)
-    centers = _get(parser, "dataset", "centers", _parse_centers, default=None)
-    test_per_class = _get(parser, "dataset", "test_per_class", int, default=per_class)
-    val_fraction = _get(parser, "dataset", "val_fraction", float, default=0.15)
-    if classes < 2:
-        raise ConfigError("dataset.classes must be >= 2")
-    if per_class < 1 or test_per_class < 1:
-        raise ConfigError("dataset.per_class and dataset.test_per_class must be >= 1")
-    if centers is not None and centers.shape[0] != classes:
-        raise ConfigError(
-            f"dataset.centers lists {centers.shape[0]} points for {classes} classes"
-        )
-    if not 0.0 < val_fraction < 1.0:
-        raise ConfigError("dataset.val_fraction must lie in (0, 1)")
+    After the per-key schema checks come the rules that relate several keys,
+    then the library's own validators run on the values (_probe), so a bad
+    config fails here and not after data work.
+    """
+    cfg = _load(
+        path,
+        _EXPERIMENT_SCHEMA,
+        ExperimentConfig(),
+        lambda section, cfg: section != "distillation" or cfg.distills(),
+    )
+    if cfg.test_per_class is None:
+        cfg.test_per_class = cfg.per_class
+    if cfg.drop_threshold == "auto":
+        cfg.drop_threshold = 1.1 / cfg.classes
+    _probe(lambda: make_gaussian_blobs(cfg.classes, 1, None, cfg.scale), "dataset.scale")
+    _probe(lambda: make_gaussian_blobs(cfg.classes, 1, cfg.centers), "dataset.centers")
+    _probe(lambda: PartitionSpec(cfg.alpha, 1, 0), "partition.alpha")
     # split_train_val sends round(val_fraction * per_class) of each class to validation
-    val_per_class = int(round(val_fraction * per_class))
-    if not 0 < val_per_class < per_class:
+    val_per_class = int(round(cfg.val_fraction * cfg.per_class))
+    if not 0 < val_per_class < cfg.per_class:
         raise ConfigError(
-            f"dataset.val_fraction = {val_fraction} puts {val_per_class} of per_class = {per_class} "
-            "samples in validation; both sides need at least one"
+            f"dataset.val_fraction = {cfg.val_fraction} puts {val_per_class} of per_class = "
+            f"{cfg.per_class} samples in validation; both sides need at least one"
         )
-
-    alpha = _get(parser, "partition", "alpha", float)
-    if not alpha > 0:
-        raise ConfigError("partition.alpha must be positive")
-
-    rounds = _get(parser, "federated", "rounds", int)
-    clients = _get(parser, "federated", "clients", int)
-    participation = _get(parser, "federated", "participation", float)
-    local_epochs = _get(parser, "federated", "local_epochs", int)
-    local_lr = _get(parser, "federated", "local_lr", float)
-    local_batch = _get(parser, "federated", "local_batch", int)
-    strategies = _get(parser, "federated", "strategies", _parse_str_list)
-    widths_list = _get(parser, "federated", "prototypes", _parse_widths_list)
-    activation = _get(parser, "federated", "activation", str, default="relu")
-    precision = _get(parser, "federated", "precision", str, default="full")
-    prox_mu = _get(parser, "federated", "prox_mu", float, default=0.0)
-    server_momentum = _get(parser, "federated", "server_momentum", float, default=0.0)
-    drop_raw = _get(parser, "federated", "drop_threshold", str, default="none").lower()
-    if drop_raw in ("none", ""):
-        drop_threshold = None
-    elif drop_raw == "auto":
-        drop_threshold = 1.1 / classes
-    else:
-        try:
-            drop_threshold = float(drop_raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for federated.drop_threshold: {drop_raw!r}") from exc
-
-    train_count = classes * (per_class - val_per_class)
-    if clients > train_count:
-        raise ConfigError(f"federated.clients = {clients} exceeds the {train_count} training samples")
-    if not strategies:
-        raise ConfigError("federated.strategies must name at least one strategy")
-    if len(set(strategies)) != len(strategies):
-        raise ConfigError("federated.strategies has duplicates")
-    for s in strategies:
-        if s not in STRATEGIES:
-            raise ConfigError(f"federated.strategies: unknown strategy {s!r}")
-    if len(widths_list) > 1 and any(s != "feddf_hetero" for s in strategies):
+    train_count = cfg.classes * (cfg.per_class - val_per_class)
+    if cfg.clients > train_count:
+        raise ConfigError(
+            f"federated.clients = {cfg.clients} exceeds the {train_count} training samples"
+        )
+    if len(cfg.prototypes) > 1 and any(s != "feddf_hetero" for s in cfg.strategies):
         raise ConfigError("multiple prototypes require strategy feddf_hetero only")
-    data_dim = 2 if centers is None else centers.shape[1]
-    for widths in widths_list:
+    data_dim = 2 if cfg.centers is None else cfg.centers.shape[1]
+    for widths in cfg.prototypes:
         if widths[0] != data_dim:
             raise ConfigError(
                 f"federated.prototypes: input width {widths[0]} != data dim {data_dim}"
             )
-        if widths[-1] != classes:
+        if widths[-1] != cfg.classes:
             raise ConfigError(
-                f"federated.prototypes: output width {widths[-1]} != dataset.classes {classes}"
+                f"federated.prototypes: output width {widths[-1]} != dataset.classes {cfg.classes}"
             )
-
-    needs_distill = any(s in ("feddf", "feddf_hetero") for s in strategies)
-    distill = None
-    if needs_distill:
-        pool_kind = _get(parser, "distillation", "pool", str, default="heldout")
-        if pool_kind not in ("heldout", "uniform_noise", "gaussian_noise"):
-            raise ConfigError(f"distillation.pool: unknown kind {pool_kind!r}")
-        distill = {
-            "max_steps": _get(parser, "distillation", "max_steps", int),
-            "patience": _get(parser, "distillation", "patience", int),
-            "base_lr": _get(parser, "distillation", "base_lr", float, default=1e-3),
-            "init_mode": _get(parser, "distillation", "init_mode", str, default="from_average"),
-            "pool": pool_kind,
-            "pool_size": _get(parser, "distillation", "pool_size", int, default=256),
-            "batch_size": _get(parser, "distillation", "batch_size", int, default=64),
-            "noise_low": _get(parser, "distillation", "noise_low", float, default=-3.0),
-            "noise_high": _get(parser, "distillation", "noise_high", float, default=3.0),
-        }
-        if distill["pool_size"] < 1:
-            raise ConfigError("distillation.pool_size must be >= 1")
-
-    target_mode, target_value = _get(parser, "evaluation", "target", _parse_target, default=("none", 0.0))
-    centralized_epochs = _get(parser, "evaluation", "centralized_epochs", int, default=50)
-    grid = _get(parser, "evaluation", "grid", _parse_grid, default=None)
-    save_data = _get(parser, "dataset", "save", _parse_bool, default=False)
-    grid_clients = _get(parser, "evaluation", "grid_clients", _parse_bool, default=False)
-    if grid is not None and data_dim != 2:
+    if cfg.grid is not None and data_dim != 2:
         raise ConfigError("evaluation.grid needs 2-D inputs")
-
-    cfg = ExperimentConfig(
-        schema_version=schema,
-        seeds=seeds,
-        output_root=output_root,
-        classes=classes,
-        per_class=per_class,
-        scale=scale,
-        centers=centers,
-        test_per_class=test_per_class,
-        val_fraction=val_fraction,
-        alpha=alpha,
-        rounds=rounds,
-        clients=clients,
-        participation=participation,
-        local_epochs=local_epochs,
-        local_lr=local_lr,
-        local_batch=local_batch,
-        strategies=strategies,
-        prototype_widths=widths_list,
-        activation=activation,
-        precision=precision,
-        prox_mu=prox_mu,
-        server_momentum=server_momentum,
-        drop_threshold=drop_threshold,
-        distill=distill,
-        target_mode=target_mode,
-        target_value=target_value,
-        centralized_epochs=centralized_epochs,
-        grid=grid,
-        save_data=save_data,
-        grid_clients=grid_clients,
-    )
-    # fail fast on federated-level mistakes before any data work
-    for strategy in strategies:
-        _build_fl_config(cfg, strategy, seeds[0], probe=True)
+    _probe(lambda: [Prototype("p", widths) for widths in cfg.prototypes], "federated.prototypes")
+    _probe(lambda: Prototype("p", cfg.prototypes[0], cfg.activation), "federated.activation")
+    _probe(cfg.make_prototypes, "federated.precision")
+    stand_in = np.zeros((1, cfg.prototypes[0][0]))  # for a seed's heldout pool rows
+    for strategy in cfg.strategies:
+        _build_fl_config(cfg, strategy, cfg.seeds[0], stand_in)
     return cfg
 
 
@@ -557,22 +478,13 @@ def build_seed_data(cfg: ExperimentConfig, seed: int) -> SeedData:
     spec = PartitionSpec(cfg.alpha, cfg.clients, _derive_seed(seed, _TAG_PART))
     shards = [train.subset(ix) for ix in dirichlet_partition(train.labels, spec)]
     pool_inputs = None
-    if cfg.distill is not None and cfg.distill["pool"] == "heldout":
-        per = -(-cfg.distill["pool_size"] // cfg.classes)
+    if cfg.distills() and cfg.pool == "heldout":
+        per = -(-cfg.pool_size // cfg.classes)
         pool_blobs = make_gaussian_blobs(
             cfg.classes, per, cfg.centers, cfg.scale, _derive_seed(seed, _TAG_POOL)
         )
-        pool_inputs = pool_blobs.inputs[: cfg.distill["pool_size"]]
+        pool_inputs = pool_blobs.inputs[: cfg.pool_size]
     return SeedData(train, val, test, shards, pool_inputs)
-
-
-def _build_pool(cfg: ExperimentConfig, pool_inputs: np.ndarray | None, dim: int) -> DistillPool:
-    d = cfg.distill
-    if d["pool"] == "heldout":
-        return DistillPool.heldout(pool_inputs, d["batch_size"])
-    if d["pool"] == "uniform_noise":
-        return DistillPool.uniform_noise(d["noise_low"], d["noise_high"], dim, d["batch_size"])
-    return DistillPool.gaussian_noise(dim, d["batch_size"])
 
 
 def _probe(build, *keys: str):
@@ -587,25 +499,22 @@ def _build_fl_config(
     cfg: ExperimentConfig,
     strategy: str,
     seed: int,
-    pool_inputs: np.ndarray | None = None,
-    probe: bool = False,
+    pool_inputs: np.ndarray | None,
 ) -> FLConfig:
-    """The arm's FLConfig; probe=True builds it at load time, prototypes included."""
-    dim = cfg.prototype_widths[0][0]
-    if probe:
-        _probe(cfg.prototypes, "federated.activation", "federated.precision")
-        pool_inputs = np.zeros((1, dim))  # stands in for a seed's heldout rows
+    """The arm's FLConfig, distillation pool included; built once per strategy at load too."""
+    dim = cfg.prototypes[0][0]
     distill = None
-    if strategy in ("feddf", "feddf_hetero"):
-        d = cfg.distill
+    if strategy in _DISTILLING:
         keys = ("distillation.batch_size", "distillation.noise_low", "distillation.noise_high")
-        pool = _probe(lambda: _build_pool(cfg, pool_inputs, dim), *keys)
+        # each pool kind reads only the arguments it needs
+        args = dict(inputs=pool_inputs, dim=dim, low=cfg.noise_low, high=cfg.noise_high)
+        pool = _probe(lambda: DistillPool(cfg.pool, cfg.batch_size, **args), *keys)
         distill = DistillConfig(
-            max_steps=d["max_steps"],
-            patience=d["patience"],
+            max_steps=cfg.max_steps,
+            patience=cfg.patience,
             pool=pool,
-            base_lr=d["base_lr"],
-            init_mode=d["init_mode"],
+            base_lr=cfg.base_lr,
+            init_mode=cfg.init_mode,
         )
     return FLConfig(
         rounds=cfg.rounds,
@@ -627,7 +536,7 @@ def centralized_reference(
     cfg: ExperimentConfig, data: SeedData, seed: int
 ) -> tuple[float, float]:
     """Train one model on the pooled training set; (val accuracy, test accuracy)."""
-    proto = cfg.prototypes()[0]
+    proto = cfg.make_prototypes()[0]
     start = init_params(proto, _derive_seed(seed, _TAG_CENT_INIT))
     rng = np.random.default_rng(_derive_seed(seed, _TAG_CENT_RNG))
     trained = client_local_update(
@@ -647,7 +556,7 @@ def _final_test_metrics(cfg: ExperimentConfig, state: ServerState, test: Dataset
 def resolve_output_root(cfg: ExperimentConfig | BoundSuiteConfig) -> Path:
     """FEDFUSION_OUTPUT_ROOT when set, else the config's output directory."""
     env = os.environ.get(OUTPUT_ENV_VAR)
-    return Path(env) if env else Path(cfg.output_root)
+    return Path(env) if env else Path(cfg.output)
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
@@ -665,16 +574,17 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         data = build_seed_data(cfg, seed)
         seed_dir = root / f"seed{seed}"
         seed_dir.mkdir(exist_ok=True)
-        if cfg.save_data:
+        if cfg.save:
             save_dataset(data.train, seed_dir / "train.csv")
             save_dataset(data.val, seed_dir / "val.csv")
             save_dataset(data.test, seed_dir / "test.csv")
-        if cfg.target_mode == "relative":
+        mode, goal = cfg.target
+        if mode == "relative":
             cent_val, cent_test = centralized_reference(cfg, data, seed)
             centralized[str(seed)] = {"val_accuracy": cent_val, "test_accuracy": cent_test}
-            target = cfg.target_value * cent_val
-        elif cfg.target_mode == "absolute":
-            target = cfg.target_value
+            target = goal * cent_val
+        elif mode == "absolute":
+            target = goal
         else:
             target = None
         if target is not None:
@@ -685,7 +595,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             want_capture = cfg.grid is not None and strategy != "feddf_hetero"
             capture: dict | None = {} if want_capture else None
             state, records = run_training(
-                flcfg, data.shards, data.val, cfg.prototypes(), cfg.client_prototype_map(), capture
+                flcfg, data.shards, data.val, cfg.make_prototypes(), cfg.client_prototype_map(), capture
             )
             run_dir = seed_dir / strategy
             run_dir.mkdir(exist_ok=True)
@@ -767,48 +677,12 @@ def partition_report(cfg: ExperimentConfig, seed: int) -> dict:
     }
 
 
-@dataclass
-class BoundSuiteConfig:
-    instances: int
-    family: str
-    grid_size: int
-    ref_size: int
-    delta: float
-    seed: int
-    k_clients: int | None
-    m: int | None
-    output_root: str
-
-
-def _parse_count_or_random(raw: str) -> int | None:
-    return None if raw == "random" else int(raw)
+class BoundSuiteConfig(SimpleNamespace):
+    """Bound-suite settings, one attribute per _BOUND_SCHEMA key; build one with load_bound_config."""
 
 
 def load_bound_config(path) -> BoundSuiteConfig:
-    parser = _read_ini(path, _BOUND_KEYS)
-    instances = _get(parser, "bound", "instances", int)
-    if instances < 1:
-        raise ConfigError("bound.instances must be >= 1")
-    family = _get(parser, "bound", "family", str, default="mixed")
-    if family not in ("mixed", "thresholds_1d", "signed_thresholds_1d", "axis_stumps_2d"):
-        raise ConfigError(f"bound.family: unknown family {family!r}")
-    grid_size = _get(parser, "bound", "grid_size", int, default=15)
-    ref_size = _get(parser, "bound", "ref_size", int, default=20000)
-    delta = _get(parser, "bound", "delta", float, default=0.05)
-    if not 0.0 < delta < 1.0:
-        raise ConfigError("bound.delta must lie in (0, 1)")
-    seed = _get(parser, "bound", "seed", int, default=0)
-    if seed < 0:
-        raise ConfigError(f"bound.seed must be >= 0, got {seed}")
-    k_clients = _get(parser, "bound", "k_clients", _parse_count_or_random, default=None)
-    m = _get(parser, "bound", "m", _parse_count_or_random, default=None)
-    for key, value in (("grid_size", grid_size), ("ref_size", ref_size), ("k_clients", k_clients), ("m", m)):
-        if value is not None and value < 1:
-            raise ConfigError(f"bound.{key} must be >= 1, got {value}")
-    output_root = _get(parser, "bound", "output", str)
-    return BoundSuiteConfig(
-        instances, family, grid_size, ref_size, delta, seed, k_clients, m, output_root
-    )
+    return _load(path, _BOUND_SCHEMA, BoundSuiteConfig())
 
 
 def run_bound_suite(cfg: BoundSuiteConfig) -> dict:

@@ -15,7 +15,7 @@ vector keeps full-precision master values that gradients are applied to
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -199,18 +199,6 @@ def predict_logits(params: ParamVector, inputs: np.ndarray) -> np.ndarray:
     binarize = params.prototype.precision == "binary_ste"
     logits, _ = forward_cached(params.prototype, params.values, inputs, binarize)
     return logits
-
-
-def binarize_ste_grad(params: ParamVector, inputs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """numerics.grad("ce") through the binarized forward pass of params.
-
-    The backward treats binarization as identity (straight-through), so the
-    gradient applies directly to the full-precision master values.
-    """
-    from .numerics import grad
-
-    ste = replace(params.prototype, precision="binary_ste")
-    return grad("ce", ParamVector(ste, params.values), inputs, labels=labels)
 
 
 def average_params(models: list[ParamVector], weights) -> ParamVector:

@@ -127,6 +127,14 @@ def test_partition_rejects_more_clients_than_samples():
     assert sorted(len(ix) for ix in shards) == [1] * 5
 
 
+@pytest.mark.parametrize("alpha", [math.inf, math.nan])
+def test_partition_spec_rejects_non_finite_alpha(alpha):
+    # an all-inf concentration makes every rng.dirichlet draw NaN, so the redraw
+    # loop of dirichlet_partition would never end; the spec refuses it up front
+    with pytest.raises(ValueError, match="alpha must be finite and positive"):
+        PartitionSpec(alpha, 4, seed=0)
+
+
 def test_label_entropy_values():
     assert label_entropy(np.array([0, 1, 0, 1]), 2) == pytest.approx(math.log(2.0), abs=1e-12)
     single = label_entropy(np.array([3, 3, 3]), 5)

@@ -15,6 +15,8 @@ from fedfusion.cli import main as cli_main
 from fedfusion.harness import (
     OUTPUT_ENV_VAR,
     SCHEMA_VERSION,
+    _BOUND_SCHEMA,
+    _EXPERIMENT_SCHEMA,
     _derive_seed,
     build_seed_data,
     decision_boundary_grid,
@@ -241,10 +243,10 @@ class TestConfigLoading:
         assert cfg.seeds == [0, 1]
         assert cfg.classes == 3 and cfg.per_class == 30
         assert cfg.strategies == ["fedavg", "feddf"]
-        assert cfg.prototype_widths == [(2, 8, 3)]
-        assert cfg.target_mode == "relative" and cfg.target_value == 0.9
-        assert cfg.distill["max_steps"] == 10
-        assert cfg.distill["pool"] == "heldout"
+        assert cfg.prototypes == [(2, 8, 3)]
+        assert cfg.target == ("relative", 0.9)
+        assert cfg.max_steps == 10
+        assert cfg.pool == "heldout"
         assert cfg.activation == "relu"  # default
 
     def test_prototype_ids_and_round_robin_assignment(self, tmp_path):
@@ -255,7 +257,7 @@ class TestConfigLoading:
             clients="clients = 5",
         )
         cfg = load_experiment_config(path)
-        protos = cfg.prototypes()
+        protos = cfg.make_prototypes()
         assert [p.id for p in protos] == ["p0", "p1", "p2"]
         assert cfg.client_prototype_map() == ["p0", "p1", "p2", "p0", "p1"]
 
@@ -351,10 +353,141 @@ class TestConfigLoading:
         path.write_text("[DEFAULT]\nwidth = 8\n\n" + path.read_text())
         assert load_experiment_config(path).clients == 4
 
+    def test_readme_config_reference_lists_every_schema_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("## Config reference", 1)[1].split("\n## ", 1)[0]
+        rows = [line.split("|")[1].strip().strip("`") for line in table.splitlines() if line.startswith("| `")]
+        keys = [f"{row.section}.{row.key}" for row in _EXPERIMENT_SCHEMA + _BOUND_SCHEMA]
+        assert rows == keys
+
     def test_bad_target_string_raises(self, tmp_path):
         path = write_config(tmp_path / "bad.ini", target="target = eventually")
         with pytest.raises(ConfigError, match="evaluation.target"):
             load_experiment_config(path)
+
+
+FULL_CONFIG = """\
+[experiment]
+schema_version = 1
+seeds = 4, 2
+output = {output}
+
+[dataset]
+classes = 3
+per_class = 40
+scale = 0.7
+centers = 0,0; 2,0; 0,2
+test_per_class = 25
+val_fraction = 0.25
+save = true
+
+[partition]
+alpha = 0.5
+
+[federated]
+rounds = 4
+clients = 6
+participation = 0.75
+local_epochs = 3
+local_lr = 0.02
+local_batch = 8
+strategies = feddf, fedprox, fedavgm
+prototypes = 2,12,3
+activation = tanh
+precision = binary_ste
+prox_mu = 0.01
+server_momentum = 0.5
+drop_threshold = auto
+
+[distillation]
+max_steps = 30
+patience = 7
+base_lr = 0.002
+init_mode = from_previous
+pool = uniform_noise
+pool_size = 100
+batch_size = 20
+noise_low = -2.5
+noise_high = 1.5
+
+[evaluation]
+target = absolute:0.8
+centralized_epochs = 12
+grid = -2,2,9
+grid_clients = true
+"""
+
+
+class TestConfigEcho:
+    def test_echo_of_every_key_is_pinned(self, tmp_path, monkeypatch):
+        # all 37 keys set, each optional one away from its default; the expected
+        # echo is the one summary.json has always carried for this config
+        monkeypatch.delenv(OUTPUT_ENV_VAR, raising=False)
+        path = tmp_path / "full.ini"
+        path.write_text(FULL_CONFIG.format(output=tmp_path / "out"))
+        cfg = load_experiment_config(path)
+        expected = {
+            "schema_version": 1,
+            "seeds": [4, 2],
+            "dataset": {
+                "classes": 3,
+                "per_class": 40,
+                "scale": 0.7,
+                "centers": [[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]],
+                "test_per_class": 25,
+                "val_fraction": 0.25,
+            },
+            "partition": {"alpha": 0.5},
+            "federated": {
+                "rounds": 4,
+                "clients": 6,
+                "participation": 0.75,
+                "local_epochs": 3,
+                "local_lr": 0.02,
+                "local_batch": 8,
+                "strategies": ["feddf", "fedprox", "fedavgm"],
+                "prototypes": [[2, 12, 3]],
+                "activation": "tanh",
+                "precision": "binary_ste",
+                "prox_mu": 0.01,
+                "server_momentum": 0.5,
+                "drop_threshold": 1.1 / 3,
+            },
+            "distillation": {
+                "max_steps": 30,
+                "patience": 7,
+                "base_lr": 0.002,
+                "init_mode": "from_previous",
+                "pool": "uniform_noise",
+                "pool_size": 100,
+                "batch_size": 20,
+                "noise_low": -2.5,
+                "noise_high": 1.5,
+            },
+            "evaluation": {
+                "target_mode": "absolute",
+                "target_value": 0.8,
+                "centralized_epochs": 12,
+                "grid": [-2.0, 2.0, 9],
+            },
+        }
+        echo = cfg.public_dict()
+        assert echo == expected
+        assert json.dumps(echo, sort_keys=True, indent=2) == json.dumps(expected, sort_keys=True, indent=2)
+        assert resolve_output_root(cfg) == tmp_path / "out"
+
+    def test_echo_of_a_config_without_distillation_is_pinned(self, tmp_path):
+        cfg = load_experiment_config(write_config(tmp_path / "exp.ini"))
+        echo = cfg.public_dict()
+        assert echo["distillation"] is None
+        assert echo["dataset"] == {
+            "classes": 3, "per_class": 30, "scale": 0.6, "centers": None,
+            "test_per_class": 30, "val_fraction": 0.2,
+        }
+        assert echo["federated"]["drop_threshold"] is None
+        assert echo["evaluation"] == {
+            "target_mode": "none", "target_value": 0.0, "centralized_epochs": 3, "grid": None,
+        }
 
 
 class TestSeedData:
@@ -369,7 +502,7 @@ class TestSeedData:
         assert len(data.train) + len(data.val) == cfg.classes * cfg.per_class
         assert len(data.test) == cfg.classes * cfg.test_per_class
         assert sum(len(s) for s in data.shards) == len(data.train)
-        assert data.pool_inputs.shape == (cfg.distill["pool_size"], 2)
+        assert data.pool_inputs.shape == (cfg.pool_size, 2)
 
     def test_deterministic_per_seed(self, tmp_path):
         cfg = self.cfg(tmp_path)
@@ -402,7 +535,7 @@ class TestRunExperiment:
         assert [r.round_index for r in rows] == [1, 2]
         assert all(r.wall_ms > 0 for r in rows)
         assert all(set(r.dropped) <= set(r.sampled) and r.sampled for r in rows)
-        params = load_params(root / "seed0" / "fedavg" / "final_p0.params", cfg.prototypes())
+        params = load_params(root / "seed0" / "fedavg" / "final_p0.params", cfg.make_prototypes())
         assert params.prototype.layer_widths == (2, 8, 3)
         assert summary["schema_version"] == SCHEMA_VERSION
         entry = summary["results"]["fedavg"]["0"]
@@ -457,6 +590,18 @@ class TestBoundSuite:
         assert cfg.family == "mixed"
         assert cfg.delta == 0.05
         assert cfg.k_clients is None and cfg.m is None
+
+    def test_every_bound_key_is_pinned(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(OUTPUT_ENV_VAR, raising=False)
+        path = tmp_path / "bound.ini"
+        path.write_text(
+            "[bound]\ninstances = 7\nfamily = axis_stumps_2d\ngrid_size = 11\nref_size = 500\n"
+            f"delta = 0.2\nseed = 3\nk_clients = 4\nm = 60\noutput = {tmp_path / 'bout'}\n"
+        )
+        cfg = load_bound_config(path)
+        got = [cfg.instances, cfg.family, cfg.grid_size, cfg.ref_size, cfg.delta, cfg.seed, cfg.k_clients, cfg.m]
+        assert got == [7, "axis_stumps_2d", 11, 500, 0.2, 3, 4, 60]
+        assert resolve_output_root(cfg) == tmp_path / "bout"
 
     def test_bad_bound_configs_raise(self, tmp_path):
         path = tmp_path / "b.ini"
@@ -544,6 +689,11 @@ class TestCli:
             ("distillation", {"pool": "uniform_noise", "noise_low": "3", "noise_high": "-3"}, "distillation.noise_low"),
             ("evaluation", {"grid": "-3,3,1"}, "evaluation.grid"),
             ("bound", {"seed": "-1"}, "bound.seed"),
+            ("partition", {"alpha": "inf"}, "partition.alpha"),
+            ("dataset", {"scale": "-1"}, "dataset.scale"),
+            ("dataset", {"centers": "0,0; 0,0; 1,1"}, "dataset.centers"),
+            ("evaluation", {"centralized_epochs": "-1"}, "evaluation.centralized_epochs"),
+            ("federated", {"prototypes": "2,0,3"}, "federated.prototypes"),
         ],
     )
     def test_value_the_library_rejects_exits_one_at_load(self, tmp_path, capsys, section, changes, key):
