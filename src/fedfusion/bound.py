@@ -62,13 +62,21 @@ class HypothesisClass:
     def __post_init__(self) -> None:
         if not self.hypotheses or self.vc_dim < 0:
             raise ValueError("a hypothesis class needs a hypothesis and a non-negative vc_dim")
+        # built once: predictions compares every stump with every row in one broadcast
+        object.__setattr__(self, "_axes", np.array([h.axis for h in self.hypotheses]))
+        object.__setattr__(self, "_thresholds", np.array([[h.threshold] for h in self.hypotheses]))
+        object.__setattr__(self, "_signs", np.array([[h.sign] for h in self.hypotheses]))
 
     def __len__(self) -> int:
         return len(self.hypotheses)
 
     def predictions(self, inputs: np.ndarray) -> np.ndarray:
-        """(|H|, n) 0/1 prediction matrix."""
-        return np.stack([h.predict(inputs) for h in self.hypotheses])
+        """(|H|, n) 0/1 prediction matrix: row i is hypotheses[i].predict(inputs) bit for bit."""
+        x = np.asarray(inputs, dtype=np.float64)
+        if x.ndim != 2 or self._axes.max() >= x.shape[1]:
+            axis = next(h.axis for h in self.hypotheses if x.ndim != 2 or h.axis >= x.shape[1])
+            raise ShapeError(f"inputs shape {x.shape} lacks axis {axis}")
+        return (self._signs * (x.T[self._axes] - self._thresholds) >= 0).astype(np.int8)
 
 
 def thresholds_1d(grid) -> HypothesisClass:

@@ -22,12 +22,14 @@ the ensemble accuracy are both read from them.
 
 Local SGD (client_local_update, and through it the centralized reference)
 and distillation (feddf_fuse) check their fixed data once, then feed
-batches to one training step (numerics._trainer) with a CE or KL rule.
+inputs and target rows to one training step (numerics._trainer). Local SGD
+gathers a shard's inputs and one-hot label rows once per epoch, so each
+batch is a contiguous slice.
 
 The teachers are fixed while one fusion runs, so with a heldout pool
 feddf_fuse computes their softmax targets once, over the whole pool, and
-gathers each batch's rows from them. Noise pools have no fixed rows and
-run the teachers on every batch.
+gathers each batch's rows from them into buffers. Noise pools have no
+fixed rows and run the teachers on every batch.
 
 Determinism: every random stream is derived from (seed, stream tag, round,
 client), never from call order, so the order in which a round's clients are
@@ -249,8 +251,9 @@ def top1_accuracy(params: ParamVector, dataset: Dataset) -> float:
     return _accuracy(predict_logits(params, dataset.inputs), dataset)
 
 
-def _accuracy(logits: np.ndarray, dataset: Dataset) -> float:
-    return np.count_nonzero(np.argmax(logits, axis=1) == dataset.labels) / len(dataset)
+def _accuracy(logits: np.ndarray, dataset: Dataset, out=(None, None)) -> float:  # out: argmax, hit buffers
+    hits = np.equal(np.argmax(logits, axis=1, out=out[0]), dataset.labels, out=out[1])
+    return np.count_nonzero(hits) / len(dataset)
 
 
 def client_local_update(
@@ -289,11 +292,14 @@ def client_local_update(
     values = start.values.copy()
     step = numerics._trainer(proto, values, numerics.OptimizerState.sgd(lr), prox_mu, anchor_values)
     n = len(shard)
+    eye = np.eye(proto.n_classes)
+    xs, ts = np.empty_like(shard.inputs), np.empty((n, proto.n_classes))
     for _ in range(epochs):
-        order = rng.permutation(n)
+        order = rng.permutation(n)  # in range, so "clip" clips nothing; "raise" would copy via a temporary
+        np.take(shard.inputs, order, axis=0, out=xs, mode="clip")
+        np.take(eye, shard.labels[order], axis=0, out=ts, mode="clip")  # one-hot label rows
         for lo in range(0, n, batch_size):
-            sel = order[lo : lo + batch_size]
-            step(shard.inputs[sel], numerics._ce_dlogits, shard.labels[sel])
+            step(xs[lo : lo + batch_size], ts[lo : lo + batch_size])
     return ParamVector(proto, values)
 
 
@@ -385,9 +391,10 @@ def feddf_fuse(
     step = numerics._trainer(student_proto, values, opt)
     layers = unflatten(student_proto, values)
     val_out = [(np.empty((len(val), w)), np.empty((len(val), w))) for w in student_proto.layer_widths[1:]]
+    val_hits = (np.empty(len(val), dtype=np.intp), np.empty(len(val), dtype=bool))
 
     def score() -> float:
-        return _accuracy(_forward(student_proto, layers, val.inputs, False, val_out)[0], val)
+        return _accuracy(_forward(student_proto, layers, val.inputs, False, val_out)[0], val, val_hits)
 
     def teacher_targets(x: np.ndarray) -> np.ndarray:
         q = numerics.softmax(ensemble_logits(teachers, x))
@@ -400,15 +407,17 @@ def feddf_fuse(
     pool = cfg.pool
     if pool.kind == "heldout":
         pool_targets = teacher_targets(pool.inputs)
+        batch = np.empty((pool.batch_size, proto.n_inputs))
+        targets = np.empty((pool.batch_size, proto.n_classes))
     for _ in range(cfg.max_steps):
         if pool.kind == "heldout":
-            rows = sample_distill_rows(pool, rng)
-            batch = pool.inputs[rows]
-            targets = pool_targets[rows]
+            rows = sample_distill_rows(pool, rng)  # in range, as a local-SGD epoch's order
+            np.take(pool.inputs, rows, axis=0, out=batch, mode="clip")
+            np.take(pool_targets, rows, axis=0, out=targets, mode="clip")
         else:
             batch = sample_distill_batch(pool, rng)
             targets = teacher_targets(batch)
-        step(batch, numerics._kl_dlogits, targets)
+        step(batch, targets)
         steps += 1
         acc = score()
         if acc > best_acc:

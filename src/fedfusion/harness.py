@@ -154,8 +154,9 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+# int() strips the spaces around a token and rejects a token with spaces inside it
 def _parse_int_list(raw: str) -> list[int]:
-    return [int(tok) for tok in raw.replace(" ", "").split(",") if tok]
+    return [int(tok) for tok in raw.split(",") if tok.strip()]
 
 
 def _parse_str_list(raw: str) -> list[str]:
@@ -180,7 +181,7 @@ def _parse_centers(raw: str) -> np.ndarray | None:
 def _parse_widths_list(raw: str) -> list[tuple[int, ...]]:
     groups = []
     for chunk in raw.split("|"):
-        widths = tuple(int(tok) for tok in chunk.replace(" ", "").split(",") if tok)
+        widths = tuple(_parse_int_list(chunk))
         if widths:
             groups.append(widths)
     if not groups:
@@ -487,11 +488,20 @@ def build_seed_data(cfg: ExperimentConfig, seed: int) -> SeedData:
     return SeedData(train, val, test, shards, pool_inputs)
 
 
+# FLConfig's and DistillConfig's fields are named after their INI keys, client_count aside
+_FIELD_KEYS = {r.key: f"{r.section}.{r.key}" for r in _EXPERIMENT_SCHEMA if r.section in ("federated", "distillation")}
+_FIELD_KEYS["client_count"] = "federated.clients"
+
+
 def _probe(build, *keys: str):
-    """Run a library constructor on config values; its ValueError becomes a ConfigError."""
+    """Run a library constructor on config values; its ValueError becomes a ConfigError naming
+    keys, or else the INI key of the first FLConfig or DistillConfig field the message cites."""
     try:
         return build()
     except ValueError as exc:
+        keys = keys or [_FIELD_KEYS[word] for word in str(exc).split() if word in _FIELD_KEYS][:1]
+        if not keys:
+            raise
         raise ConfigError(f"bad value for {' or '.join(keys)}: {exc}") from exc
 
 
@@ -509,14 +519,14 @@ def _build_fl_config(
         # each pool kind reads only the arguments it needs
         args = dict(inputs=pool_inputs, dim=dim, low=cfg.noise_low, high=cfg.noise_high)
         pool = _probe(lambda: DistillPool(cfg.pool, cfg.batch_size, **args), *keys)
-        distill = DistillConfig(
+        distill = _probe(lambda: DistillConfig(
             max_steps=cfg.max_steps,
             patience=cfg.patience,
             pool=pool,
             base_lr=cfg.base_lr,
             init_mode=cfg.init_mode,
-        )
-    return FLConfig(
+        ))
+    return _probe(lambda: FLConfig(
         rounds=cfg.rounds,
         client_count=cfg.clients,
         participation=cfg.participation,
@@ -529,7 +539,7 @@ def _build_fl_config(
         server_momentum=cfg.server_momentum if strategy == "fedavgm" else 0.0,
         drop_threshold=cfg.drop_threshold,
         distill=distill,
-    )
+    ))
 
 
 def centralized_reference(

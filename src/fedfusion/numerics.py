@@ -10,11 +10,15 @@ applies directly to the full-precision master values.
 Checks live at the public entry points: grad, opt_step, and flcore's two
 training loops, client_local_update and feddf_fuse, which check their fixed
 data once per call. Beneath them is one private kernel: the unchecked
-forward pass models._forward, a logit-gradient rule (_ce_dlogits or
-_kl_dlogits), _backward into per-layer views of a flat buffer, and the
-optimizer rule _step_in_place. grad and opt_step run these pieces on fresh
-buffers; the step that _trainer makes once per client or per fusion runs
-them in place, checking the logits and the gradient.
+forward pass models._forward, the logit-gradient rule _dlogits, (softmax -
+target) / batch, with cross-entropy as the rule on one-hot label rows,
+_backward into per-layer views of a flat buffer, and the optimizer rule
+_step_in_place. grad and opt_step run these pieces on fresh buffers; the
+step that _trainer makes once per client or per fusion runs them on
+buffers it owns: the gradient, two optimizer scratch vectors, and one set
+per batch size of the forward's (z, a) per layer, the backward's deltas and
+a (batch, 1) softmax column. Softmax runs in place on the logits buffer, so
+a step's logits and caches are valid only until the next step.
 """
 
 from __future__ import annotations
@@ -30,8 +34,9 @@ _NORM_TOL = 1e-8
 _KL_FLOOR = 1e-12
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise stable softmax; accepts a single vector or a batch of rows."""
+def softmax(logits: np.ndarray, out: np.ndarray | None = None, col: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise stable softmax of a single vector or a batch of rows, into out (may be logits)
+    if given; col, if given, is a (rows, 1) scratch column for the row max and sum."""
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim not in (1, 2):
         raise ShapeError(f"softmax expects a vector or matrix, got shape {z.shape}")
@@ -39,10 +44,11 @@ def softmax(logits: np.ndarray) -> np.ndarray:
         raise ValueError("softmax input contains non-finite values")
     single = z.ndim == 1
     if single:
-        z = z[None, :]
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=1, keepdims=True)
+        z, out = z[None, :], None if out is None else out[None, :]
+    col = np.maximum.reduce(z, axis=1, keepdims=True, out=col)
+    out = np.subtract(z, col, out=out)
+    np.exp(out, out=out)
+    np.divide(out, np.add.reduce(out, axis=1, keepdims=True, out=col), out=out)
     return out[0] if single else out
 
 
@@ -172,60 +178,58 @@ def opt_step(state: OptimizerState, params: ParamVector, grad_flat: np.ndarray) 
     new_state = replace(state)
     if state.kind == "adam":
         new_state.m, new_state.v = state.m.copy(), state.v.copy()
-    _step_in_place(new_state, new_values, g)
+    _step_in_place(new_state, new_values, g, (np.empty_like(g), np.empty_like(g)))
     return ParamVector(params.prototype, new_values), new_state
 
 
-def _step_in_place(state: OptimizerState, values: np.ndarray, g: np.ndarray) -> None:
-    """The optimizer rule: updates values, and Adam's m and v, in place; advances state."""
+def _step_in_place(state: OptimizerState, values: np.ndarray, g: np.ndarray, scratch) -> None:
+    """The optimizer rule: updates values, and Adam's m and v, in place; advances state.
+    Its temporaries go to scratch, two vectors shaped like values."""
     lr = current_lr(state)
     t = state.step_count + 1
+    s, r = scratch
     if state.kind == "sgd":
-        values -= lr * g
+        values -= np.multiply(lr, g, out=s)
     else:
         state.m *= state.beta1
-        state.m += (1.0 - state.beta1) * g
+        state.m += np.multiply(1.0 - state.beta1, g, out=s)
         state.v *= state.beta2
-        state.v += (1.0 - state.beta2) * g * g
-        m_hat = state.m / (1.0 - state.beta1**t)
-        v_hat = state.v / (1.0 - state.beta2**t)
-        values -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        state.v += np.multiply(np.multiply(1.0 - state.beta2, g, out=s), g, out=s)
+        m_hat = np.divide(state.m, 1.0 - state.beta1**t, out=s)
+        v_hat = np.divide(state.v, 1.0 - state.beta2**t, out=r)
+        denom = np.sqrt(v_hat, out=r)
+        denom += state.eps
+        values -= np.divide(np.multiply(lr, m_hat, out=s), denom, out=s)
     state.step_count = t
 
 
-def _ce_dlogits(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Gradient of mean cross-entropy w.r.t. the logits, built in probs' buffer."""
-    batch = probs.shape[0]
-    probs[np.arange(batch), labels] -= 1.0
-    probs /= batch
-    return probs
-
-
-def _kl_dlogits(probs: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Gradient of mean KL(target row || softmax(logits row)) w.r.t. the logits, in probs' buffer."""
+def _dlogits(probs: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Logit gradient of the batch-mean KL(target row || softmax row), in probs' buffer;
+    on one-hot target rows, that of cross-entropy."""
     probs -= targets
     probs /= probs.shape[0]
     return probs
 
 
-def _backward(proto, caches, dlogits: np.ndarray, grads: list[tuple[np.ndarray, np.ndarray]]) -> None:
+def _backward(proto, caches, dlogits: np.ndarray, grads: list[tuple[np.ndarray, np.ndarray]], da=None) -> None:
     """Backpropagate dlogits through forward caches into grads.
 
     grads holds per-layer (dW, db) views of one flat buffer (unflatten of
-    it); every entry of the buffer is overwritten.
+    it); every entry of the buffer is overwritten. da, if given, holds one
+    (batch, width) buffer per hidden layer for the backpropagated deltas.
     """
     layer_inputs, preacts, eff_weights = caches
     delta = dlogits
     for l in range(proto.n_layers - 1, -1, -1):
         gw, gb = grads[l]
-        np.matmul(layer_inputs[l].T, delta, out=gw)
-        delta.sum(axis=0, out=gb)
+        np.dot(layer_inputs[l].T, delta, out=gw)  # np.dot: see models._forward
+        np.add.reduce(delta, axis=0, out=gb)
         if l > 0:
-            da = delta @ eff_weights[l].T
+            delta = np.dot(delta, eff_weights[l].T, out=None if da is None else da[l - 1])
             if proto.activation == "relu":
-                delta = da * (preacts[l - 1] > 0.0)
+                delta *= preacts[l - 1] > 0.0
             else:
-                delta = da * (1.0 - layer_inputs[l] * layer_inputs[l])
+                delta *= 1.0 - layer_inputs[l] * layer_inputs[l]
 
 
 def grad(
@@ -237,7 +241,8 @@ def grad(
 ) -> np.ndarray:
     """Analytic gradient of a batch-mean loss w.r.t. the flat parameters.
 
-    loss_kind "ce": mean cross-entropy against integer labels.
+    loss_kind "ce": mean cross-entropy against integer labels, the target
+    rule on their one-hot rows.
     loss_kind "kl_vs_target": mean KL(target_probs_row || softmax(logits_row)),
     the distillation objective; target rows must be normalized probabilities.
     """
@@ -256,35 +261,46 @@ def grad(
             raise ShapeError(f"labels must have shape ({batch},), got {y.shape}")
         if y.min() < 0 or y.max() >= proto.n_classes:
             raise IndexError(f"labels must lie in [0, {proto.n_classes})")
-        dlogits = _ce_dlogits(probs, y)
+        targets = np.eye(proto.n_classes)[y]
     elif loss_kind == "kl_vs_target":
         if target_probs is None:
             raise ValueError("loss_kind 'kl_vs_target' requires target_probs")
-        dlogits = _kl_dlogits(probs, _check_probs(target_probs, "target_probs", logits.shape))
+        targets = _check_probs(target_probs, "target_probs", logits.shape)
     else:
         raise ValueError(f"unknown loss_kind {loss_kind!r}")
     grad_flat = np.empty(proto.n_params, dtype=np.float64)
-    _backward(proto, caches, dlogits, unflatten(proto, grad_flat))
+    _backward(proto, caches, _dlogits(probs, targets), unflatten(proto, grad_flat))
     return grad_flat
 
 
 def _trainer(proto, values: np.ndarray, state: OptimizerState, prox_mu=0.0, anchor_values=None):
-    """The one training step of local SGD and distillation, step(x, rule, target).
+    """The one training step of local SGD and distillation, step(x, target).
 
-    It trains values in place: forward, softmax, rule(probs, target), backward
-    into one gradient buffer, prox_mu * (values - anchor_values), the finite-
-    gradient check and the optimizer rule. The caller vouches for x and target.
+    It trains values in place: forward, softmax, (softmax - target) / batch,
+    backward into one gradient buffer, prox_mu * (values - anchor_values), the
+    finite-gradient check and the optimizer rule, all in buffers it owns (see
+    the module docstring). The caller vouches for x and target.
     """
     layers, g = unflatten(proto, values), np.empty_like(values)
     grads, binarize = unflatten(proto, g), proto.precision == "binary_ste"
+    scratch = (np.empty_like(values), np.empty_like(values))
+    buffers = {}
 
-    def step(x: np.ndarray, rule, target: np.ndarray) -> None:
-        logits, caches = _forward(proto, layers, x, binarize)
-        _backward(proto, caches, rule(softmax(logits), target), grads)
+    def step(x: np.ndarray, target: np.ndarray) -> None:
+        batch = x.shape[0]
+        if batch not in buffers:
+            widths = proto.layer_widths[1:]
+            pairs = [(np.empty((batch, w)), np.empty((batch, w))) for w in widths]
+            buffers[batch] = (pairs, [np.empty((batch, w)) for w in widths[:-1]], np.empty((batch, 1)))
+        out, da, col = buffers[batch]
+        logits, caches = _forward(proto, layers, x, binarize, out)
+        probs = softmax(logits, out=logits, col=col)
+        _backward(proto, caches, _dlogits(probs, target), grads, da)
         if prox_mu != 0.0:
-            np.add(g, prox_mu * (values - anchor_values), out=g)
+            pull = np.subtract(values, anchor_values, out=scratch[0])
+            np.add(g, np.multiply(prox_mu, pull, out=pull), out=g)
         if not np.isfinite(g).all():
             raise ValueError("gradient contains non-finite values")
-        _step_in_place(state, values, g)
+        _step_in_place(state, values, g, scratch)
 
     return step

@@ -307,6 +307,8 @@ def bound_cases(draw):
 def test_cell_counts_equal_the_per_row_formulas_bitwise(case):
     hclass, global_sample, local_samples, k, m = case
     for s in [global_sample] + local_samples:
+        stack = np.stack([h.predict(s.inputs) for h in hclass.hypotheses])
+        assert np.array_equal(hclass.predictions(s.inputs), stack)
         assert erm(hclass, s) is reference_erm(hclass, s)
         assert lambda_k(hclass, global_sample, s) == reference_lambda(hclass, global_sample, s)
         assert h_delta_h_divergence(s, global_sample, hclass) == reference_divergence(
@@ -324,6 +326,20 @@ def test_cell_counts_equal_the_per_row_formulas_on_default_instances():
         assert got == reference_check_bound(**bound_args(inst)).to_dict()
 
 
+@pytest.mark.parametrize("family", [thresholds_1d, signed_thresholds_1d, axis_stumps_2d])
+def test_class_predictions_equal_the_per_stump_stack_bitwise(family):
+    grid = np.linspace(-3.0, 3.0, 15)
+    hclass = family(grid)
+    rng = np.random.default_rng(3)
+    x = rng.normal(scale=2.0, size=(500, 2))
+    x[::5] = rng.choice(grid, size=(100, 2))  # rows exactly on a threshold
+    x[7] = [-0.0, 0.0]
+    want = np.stack([h.predict(x) for h in hclass.hypotheses])
+    got = hclass.predictions(x)
+    assert got.dtype == want.dtype == np.int8
+    assert np.array_equal(got, want)
+
+
 def test_missing_axis_raises_the_stump_shape_error():
     # the first stump that does not fit names the axis, as in Stump.predict
     hclass = HypothesisClass((Stump(0, 0.0, 1), Stump(3, 0.0, 1), Stump(2, 0.0, 1)), 3, "gap")
@@ -331,6 +347,8 @@ def test_missing_axis_raises_the_stump_shape_error():
     with pytest.raises(ShapeError) as from_predict:
         hclass.predictions(sample.inputs)
     assert "lacks axis 3" in str(from_predict.value)
+    with pytest.raises(ShapeError, match=r"inputs shape \(3,\) lacks axis 0"):
+        hclass.predictions(np.zeros(3))
     for call in (
         lambda: erm(hclass, sample),
         lambda: lambda_k(hclass, sample, sample),

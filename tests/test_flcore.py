@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fedfusion as ff
 from fedfusion._errors import ConfigError, ShapeError
@@ -146,6 +147,37 @@ def test_local_update_equals_grad_and_opt_step_loop_bitwise(widths, rows, batch,
     assert out.prototype == proto
 
 
+@st.composite
+def training_shapes(draw):
+    """A prototype of random widths, activation and precision, and a seed for its data."""
+    widths = (2, *draw(st.lists(st.integers(1, 12), max_size=2)), draw(st.integers(2, 5)))
+    activation = draw(st.sampled_from(["relu", "tanh"]))
+    precision = draw(st.sampled_from(["full", "binary_ste"]))
+    return Prototype("h", widths, activation, precision), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    shape=training_shapes(),
+    batch=st.integers(1, 12),
+    full_batches=st.integers(0, 3),
+    rest=st.integers(0, 11),
+    mu=st.sampled_from([0.0, 0.05]),
+)
+def test_local_update_equals_the_reference_loop_on_random_shapes(shape, batch, full_batches, rest, mu):
+    """rows = full_batches * batch + rest: a ragged last batch gives one trainer two batch sizes."""
+    proto, seed = shape
+    rows = max(1, full_batches * batch + rest % batch)
+    rng = np.random.default_rng(seed)
+    classes = proto.n_classes
+    shard = ff.Dataset(rng.normal(size=(rows, 2)), rng.integers(0, classes, rows), classes)
+    start = ParamVector(proto, rng.normal(scale=0.5, size=proto.n_params))
+    anchor = ParamVector(proto, rng.normal(scale=0.5, size=proto.n_params))
+    out = client_local_update(start, shard, 3, 0.05, batch, np.random.default_rng(seed), mu, anchor)
+    ref = reference_local_update(start, shard, 3, 0.05, batch, np.random.default_rng(seed), mu, anchor)
+    assert np.array_equal(out.values, ref.values)
+
+
 def test_local_update_checks_a_shard_mutated_after_construction():
     train, _, shards, proto = small_task()
     start = init_params(proto, 0)
@@ -252,9 +284,9 @@ def fused_targets(monkeypatch, teachers, init, cfg, val):
     def spy_trainer(*args, **kwargs):
         step = real_trainer(*args, **kwargs)
 
-        def spy(inputs, rule, targets):
-            seen.append((inputs, targets))
-            return step(inputs, rule, targets)
+        def spy(inputs, targets):
+            seen.append((inputs.copy(), targets.copy()))  # heldout batches reuse one buffer
+            return step(inputs, targets)
 
         return spy
 
@@ -363,6 +395,36 @@ def test_feddf_fuse_equals_grad_opt_step_loop_bitwise(pool_kind, activation, pre
     assert steps == ref_steps
     assert steps == max_steps if patience == max_steps else steps < max_steps
     assert fused.prototype == ref.prototype == init.prototype
+    assert np.array_equal(fused.values, ref.values)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    shape=training_shapes(),
+    pool_kind=st.sampled_from(["heldout", "uniform_noise", "gaussian_noise"]),
+    pool_rows=st.integers(1, 40),
+    batch=st.integers(1, 16),
+    max_steps=st.integers(1, 25),
+    patience=st.integers(1, 25),
+)
+def test_feddf_fuse_equals_the_reference_loop_on_random_shapes(shape, pool_kind, pool_rows, batch, max_steps, patience):
+    proto, seed = shape
+    rng = np.random.default_rng(seed)
+    classes = proto.n_classes
+    other = Prototype("o", (2, 7, classes), "tanh")  # teachers may differ in architecture
+    teachers = [ParamVector(p, rng.normal(size=p.n_params)) for p in (proto, proto, other)]
+    init = ParamVector(proto, rng.normal(scale=0.5, size=proto.n_params))
+    val = ff.Dataset(rng.normal(size=(30, 2)), rng.integers(0, classes, 30), classes)
+    pool = {
+        "heldout": lambda: ff.DistillPool.heldout(rng.normal(scale=2.0, size=(pool_rows, 2)), batch),
+        "uniform_noise": lambda: uniform_pool(batch),
+        "gaussian_noise": lambda: ff.DistillPool.gaussian_noise(2, batch),
+    }[pool_kind]()
+    cfg = DistillConfig(max_steps, min(patience, max_steps), pool, base_lr=0.05)
+    fused, steps = feddf_fuse(teachers, init, cfg, val, np.random.default_rng(seed))
+    cfg.pool.reset()
+    ref, ref_steps = reference_fuse(teachers, init, cfg, val, np.random.default_rng(seed))
+    assert steps == ref_steps
     assert np.array_equal(fused.values, ref.values)
 
 

@@ -365,6 +365,30 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="evaluation.target"):
             load_experiment_config(path)
 
+    @pytest.mark.parametrize(
+        "line, key",
+        [
+            ("seeds = 1 2", "experiment.seeds"),
+            ("prototypes = 2,3 2,3", "federated.prototypes"),
+            ("prototypes = 2,8,3 | 2,1 2,3", "federated.prototypes"),
+        ],
+    )
+    def test_a_token_with_inner_spaces_is_an_error(self, tmp_path, line, key):
+        path = write_config(tmp_path / "bad.ini", **{line.split()[0]: line})
+        with pytest.raises(ConfigError, match=f"bad value for {key}"):
+            load_experiment_config(path)
+
+    def test_spaces_around_tokens_are_allowed(self, tmp_path):
+        path = write_config(
+            tmp_path / "exp.ini",
+            seeds="seeds =  3 ,4,  5",
+            strategies="strategies = feddf_hetero",
+            prototypes="prototypes = 2, 8 ,3 |2,12,3",
+        )
+        cfg = load_experiment_config(path)
+        assert cfg.seeds == [3, 4, 5]
+        assert cfg.prototypes == [(2, 8, 3), (2, 12, 3)]
+
 
 FULL_CONFIG = """\
 [experiment]
@@ -694,6 +718,14 @@ class TestCli:
             ("dataset", {"centers": "0,0; 0,0; 1,1"}, "dataset.centers"),
             ("evaluation", {"centralized_epochs": "-1"}, "evaluation.centralized_epochs"),
             ("federated", {"prototypes": "2,0,3"}, "federated.prototypes"),
+            ("federated", {"clients": "0"}, "federated.clients"),
+            ("federated", {"participation": "0"}, "federated.participation"),
+            ("federated", {"participation": "1.5"}, "federated.participation"),
+            ("federated", {"rounds": "-1"}, "federated.rounds"),
+            ("federated", {"local_lr": "0"}, "federated.local_lr"),
+            ("distillation", {"patience": "0"}, "distillation.patience"),
+            ("distillation", {"max_steps": "-1"}, "distillation.max_steps"),
+            ("distillation", {"init_mode": "bogus"}, "distillation.init_mode"),
         ],
     )
     def test_value_the_library_rejects_exits_one_at_load(self, tmp_path, capsys, section, changes, key):

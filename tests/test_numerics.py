@@ -258,20 +258,23 @@ def test_in_place_rule_equals_opt_step_bitwise(kind):
     values, live = params.values.copy(), fresh()
     for g in grads:  # seven steps run past the cosine schedule's end
         params, state = opt_step(state, params, g)
-        numerics._step_in_place(live, values, g)
+        numerics._step_in_place(live, values, g, (np.empty_like(g), np.empty_like(g)))
         assert np.array_equal(values, params.values)
         assert live.step_count == state.step_count
         if kind == "adam":
             assert np.array_equal(live.m, state.m) and np.array_equal(live.v, state.v)
 
 
-def test_logit_gradient_rules_are_the_batch_mean_formulas_bitwise():
+def test_logit_gradient_rule_is_the_batch_mean_formula_bitwise():
     rng = np.random.default_rng(14)
     probs = softmax(rng.normal(size=(7, 4)))
     targets = softmax(rng.normal(size=(7, 4)))
     labels = rng.integers(0, 4, 7)
-    assert np.array_equal(numerics._kl_dlogits(probs.copy(), targets), (probs - targets) / 7)
-    assert np.array_equal(numerics._ce_dlogits(probs.copy(), labels), (probs - np.eye(4)[labels]) / 7)
+    assert np.array_equal(numerics._dlogits(probs.copy(), targets), (probs - targets) / 7)
+    # one-hot rows give cross-entropy's rule: subtract 1 at the label, then divide
+    ce = probs.copy()
+    ce[np.arange(7), labels] -= 1.0
+    assert np.array_equal(numerics._dlogits(probs.copy(), np.eye(4)[labels]), ce / 7)
 
 
 def test_adam_rule_updates_its_moments_in_place_with_the_same_float_ops():
@@ -279,11 +282,15 @@ def test_adam_rule_updates_its_moments_in_place_with_the_same_float_ops():
     state = OptimizerState.adam(1e-2, 20, schedule="cosine", total_steps=4)
     m, v, values = state.m, state.v, rng.normal(size=20)
     for g in rng.normal(size=(6, 20)):
+        lr, t = numerics.current_lr(state), state.step_count + 1
         expect_m = state.beta1 * m + (1.0 - state.beta1) * g
         expect_v = state.beta2 * v + (1.0 - state.beta2) * g * g
-        numerics._step_in_place(state, values, g)
+        m_hat, v_hat = expect_m / (1.0 - state.beta1**t), expect_v / (1.0 - state.beta2**t)
+        expect_values = values - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        numerics._step_in_place(state, values, g, (np.empty(20), np.empty(20)))
         assert state.m is m and state.v is v
         assert np.array_equal(m, expect_m) and np.array_equal(v, expect_v)
+        assert np.array_equal(values, expect_values)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
