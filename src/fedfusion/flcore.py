@@ -33,11 +33,17 @@ fixed rows and run the teachers on every batch.
 
 Determinism: every random stream is derived from (seed, stream tag, round,
 client), never from call order, so the order in which a round's clients are
-trained cannot change its result.
+trained cannot change its result. So from its first round with two or more
+clients and _POOL_MIN_STEPS local steps (epochs * ceil(shard / batch), summed),
+the work that pays for a fork, run_training trains clients in a fork-context
+pool. Both paths run _train_client and read results in client-id order, so
+results and the first error are the serial loop's. Smaller rounds, one CPU, no
+fork, a daemonic process or run_round alone train serially.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field, replace
 
@@ -64,6 +70,8 @@ _SAMPLE_STREAM = 1
 _CLIENT_STREAM = 2
 _POOL_STREAM = 3
 _INIT_STREAM = 4
+_POOL_MIN_STEPS = 256  # a round's local SGD steps that pay for forking workers
+_SHARED: list = []  # [cfg, shards] in a forked worker, set by the pool initializer
 
 
 def sampling_rng(seed: int, round_index: int) -> np.random.Generator:
@@ -303,6 +311,44 @@ def client_local_update(
     return ParamVector(proto, values)
 
 
+def _train_client(job: tuple[int, ParamVector, int], cfg=None, shards=None) -> np.ndarray:
+    """Values client k sends in round t from start, job = (k, start, t); errors stay raw."""
+    k, start, t = job
+    cfg, shards = (cfg, shards) if cfg is not None else _SHARED
+    model = client_local_update(  # FLConfig keeps prox_mu 0 outside fedprox
+        start, shards[k], cfg.local_epochs, cfg.local_lr, cfg.local_batch,
+        client_rng(cfg.seed, t, k), prox_mu=cfg.prox_mu, anchor=start,
+    )
+    if start.prototype.precision == "binary_ste":  # clients transmit the binarized copy, not the master values
+        return binarize_values(start.prototype, model.values)
+    return model.values
+
+
+class _Workers:
+    """run_training's forked worker pool, made at the first round worth it."""
+    pool = None
+
+    def submit(self, jobs: list[tuple[int, ParamVector, int]], cfg: FLConfig, shards: list[Dataset]) -> list | None:
+        """Result getters in job order, jobs sent largest shard first; None: train serially."""
+        steps = sum(cfg.local_epochs * -(-len(shards[k]) // cfg.local_batch) for k, _, _ in jobs)
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        if len(jobs) < 2 or steps < _POOL_MIN_STEPS or cpus < 2:
+            return None
+        if self.pool is None:
+            import multiprocessing
+            if "fork" not in multiprocessing.get_all_start_methods() or multiprocessing.current_process().daemon:
+                return None
+            self.pool = multiprocessing.get_context("fork").Pool(min(cpus, len(jobs)), _SHARED.extend, ([cfg, shards],))
+        by_size = sorted(jobs, key=lambda j: -len(shards[j[0]]))
+        pending = {j[0]: self.pool.apply_async(_train_client, (j,)) for j in by_size}
+        return [pending[k].get for k, _, _ in jobs]
+
+    def close(self) -> None:
+        if self.pool is not None:
+            self.pool.terminate()
+            self.pool.join()
+
+
 def _kept_indices(accs: list[float], threshold: float | None) -> list[int]:
     if threshold is None:
         return list(range(len(accs)))
@@ -436,6 +482,7 @@ def run_round(
     val: Dataset,
     client_prototypes: list[str] | None = None,
     capture: dict | None = None,
+    _workers: _Workers | None = None,
 ) -> tuple[ServerState, RoundRecord]:
     """One round of any strategy; returns (new state, record).
 
@@ -470,21 +517,15 @@ def run_round(
         raise ConfigError(f"client_prototypes references undeclared prototypes {unknown}")
     t = state.round_index + 1
     ids = sample_clients(cfg.client_count, cfg.participation, sampling_rng(cfg.seed, t))
-    mu = cfg.prox_mu if cfg.strategy == "fedprox" else 0.0
+    jobs = [(k, state.params[client_prototypes[k]], t) for k in ids.tolist()]
+    pooled = _workers.submit(jobs, cfg, shards) if _workers is not None else None
     trained = []
-    for k in ids.tolist():
-        start = state.params[client_prototypes[k]]
+    for i, job in enumerate(jobs):  # results in client-id order: the lowest failing client raises
         try:
-            model = client_local_update(
-                start, shards[k], cfg.local_epochs, cfg.local_lr, cfg.local_batch,
-                client_rng(cfg.seed, t, k), prox_mu=mu, anchor=start,
-            )
+            values = pooled[i]() if pooled else _train_client(job, cfg, shards)
         except ValueError as e:  # e.g. a diverging client's non-finite loss
-            raise type(e)(f"round {t}, client {k}: {e}") from e
-        if start.prototype.precision == "binary_ste":
-            # clients transmit the binarized copy, not the master values
-            model = ParamVector(start.prototype, binarize_values(start.prototype, model.values))
-        trained.append(model)
+            raise type(e)(f"round {t}, client {job[0]}: {e}") from e
+        trained.append(ParamVector(job[1].prototype, values))
     val_logits = [predict_logits(m, val.inputs) for m in trained]
     kept_idx = _kept_indices([_accuracy(z, val) for z in val_logits], cfg.drop_threshold)
     kept_ids = [int(ids[i]) for i in kept_idx]
@@ -552,16 +593,20 @@ def run_training(
     The one exception is each record's wall_ms, the wall time of its
     run_round call. The distillation pool's epoch cursor is reset at the
     start so repeated calls with the same config are identical.
-    capture_final is the last round's capture.
+    capture_final is the last round's capture. No forked worker outlives the call.
     """
     if cfg.distill is not None:
         cfg.distill.pool.reset()
     state = ServerState.initialize(prototypes, cfg.seed)
     records: list[RoundRecord] = []
-    for r in range(cfg.rounds):
-        cap = capture_final if r == cfg.rounds - 1 else None
-        tic = time.perf_counter()
-        state, rec = run_round(state, cfg, shards, val, client_prototypes, cap)
-        rec.wall_ms = (time.perf_counter() - tic) * 1000.0
-        records.append(rec)
+    workers = _Workers()
+    try:
+        for r in range(cfg.rounds):
+            cap = capture_final if r == cfg.rounds - 1 else None
+            tic = time.perf_counter()
+            state, rec = run_round(state, cfg, shards, val, client_prototypes, cap, workers)
+            rec.wall_ms = (time.perf_counter() - tic) * 1000.0
+            records.append(rec)
+    finally:
+        workers.close()
     return state, records

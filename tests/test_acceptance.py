@@ -17,12 +17,11 @@ parameter averaging stays noisy at 40 local epochs while server-side
 distillation still converges.
 """
 
-import multiprocessing
+import multiprocessing.pool
 import os
 import subprocess
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -62,24 +61,30 @@ RECIPE = dict(
 _CACHE: dict = {}
 
 
-_WORKERS: list[ProcessPoolExecutor] = []
+_WORKERS: list[multiprocessing.pool.Pool] = []
 
 
 @pytest.fixture(scope="module", autouse=True)
 def _shut_down_workers():
     yield
     while _WORKERS:
-        _WORKERS.pop().shutdown()
+        pool = _WORKERS.pop()
+        pool.close()
+        pool.join()
 
 
 def parallel_map(fn, items: list) -> list:
-    """[fn(item) for item in items], run in two spawned worker processes."""
+    """[fn(item) for item in items], run in two spawned worker processes.
+
+    The workers are daemonic, so run_training inside them trains its clients
+    serially: the two workers already keep two cores busy, and a forked pool
+    in each would only contend for them.
+    """
     if len(items) < 2:
         return [fn(item) for item in items]
     if not _WORKERS:
-        ctx = multiprocessing.get_context("spawn")
-        _WORKERS.append(ProcessPoolExecutor(max_workers=2, mp_context=ctx))
-    return list(_WORKERS[0].map(fn, items))
+        _WORKERS.append(multiprocessing.get_context("spawn").Pool(2))
+    return _WORKERS[0].map(fn, items, chunksize=1)
 
 
 def arm(seed, alpha, strategy, epochs=40, init_mode="from_average", pool="heldout") -> tuple:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fedfusion as ff
 from fedfusion.data import (
@@ -78,6 +79,23 @@ def test_partition_disjoint_cover_and_determinism():
         assert np.array_equal(merged, np.arange(labels.shape[0]))
         again = dirichlet_partition(labels, spec)
         assert all(np.array_equal(a, b) for a, b in zip(shards, again))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    labels=st.lists(st.integers(0, 6), min_size=1, max_size=80),
+    alpha=st.floats(1e-3, 1e3),
+    clients=st.integers(1, 80),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_partition_is_an_exact_cover_of_nonempty_sorted_shards(labels, alpha, clients, seed):
+    labels = np.array(labels)
+    clients = min(clients, len(labels))
+    shards = dirichlet_partition(labels, PartitionSpec(alpha, clients, seed))
+    assert len(shards) == clients
+    assert all(len(s) > 0 and np.array_equal(s, np.sort(s)) for s in shards)
+    counts = np.bincount(np.concatenate(shards), minlength=len(labels))
+    assert counts.tolist() == [1] * len(labels)  # every index in exactly one shard
 
 
 def test_partition_alpha_100_spreads_classes():

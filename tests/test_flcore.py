@@ -1,5 +1,9 @@
 """Federated rounds: sampling, local training, fusion, strategy degeneracies."""
 
+import multiprocessing.pool
+import os
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -48,6 +52,31 @@ def small_cfg(strategy, rounds=3, **kw):
 
 def uniform_pool(batch=20):
     return ff.DistillPool.uniform_noise(-3.0, 3.0, 2, batch)
+
+
+def over_gate_cfg(strategy, **kw):
+    """small_cfg with enough local steps per round for run_training to fork workers."""
+    cfg = small_cfg(strategy, local_epochs=40, local_batch=8, **kw)
+    _, _, shards, _ = small_task()
+    ids = sample_clients(cfg.client_count, cfg.participation, sampling_rng(cfg.seed, 1))
+    assert sum(cfg.local_epochs * -(-len(shards[k]) // cfg.local_batch) for k in ids) >= flcore._POOL_MIN_STEPS
+    return cfg
+
+
+@pytest.fixture
+def pooled_rounds(monkeypatch):
+    """Two usable CPUs on any host; returns, per round, whether it trained in forked workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    pooled = []
+    submit = flcore._Workers.submit
+
+    def spy(self, jobs, cfg, shards):
+        getters = submit(self, jobs, cfg, shards)
+        pooled.append(getters is not None)
+        return getters
+
+    monkeypatch.setattr(flcore._Workers, "submit", spy)
+    return pooled
 
 
 def test_sample_clients_count_sorted_unique():
@@ -493,13 +522,74 @@ def test_drop_filter_reuses_the_validation_forwards(monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-def test_diverging_client_error_names_round_and_client():
+@pytest.mark.parametrize("make_cfg", [small_cfg, over_gate_cfg], ids=["serial", "pooled"])
+def test_diverging_client_error_names_round_and_client(make_cfg, pooled_rounds):
     _, val, shards, proto = small_task()
-    cfg = small_cfg("fedavg", local_lr=1e200)
-    with pytest.raises(ValueError, match=r"^round 1, client \d+: ") as info:
-        run_training(cfg, shards, val, [proto])
+    cfg = make_cfg("fedavg", local_lr=1e200, seed=2)  # round 1 trains clients 0, 1, 4 on 1, 57 and 19 rows
+    with pytest.raises(ValueError, match=r"^round 1, client 0: ") as info:
+        run_training(cfg, shards, val, [proto])  # every client diverges; the lowest id, not the largest, is named
     assert type(info.value) is ValueError and isinstance(info.value.__cause__, ValueError)
     assert str(info.value).endswith(str(info.value.__cause__))
+    assert pooled_rounds == [make_cfg is over_gate_cfg]
+    assert multiprocessing.active_children() == []
+
+
+def serial_training(cfg, shards, val, prototypes, client_prototypes=None):
+    """run_training as a hand loop of run_round calls, which train every client serially."""
+    if cfg.distill is not None:
+        cfg.distill.pool.reset()
+    state, records, cap = ServerState.initialize(prototypes, cfg.seed), [], {}
+    for _ in range(cfg.rounds):
+        state, rec = run_round(state, cfg, shards, val, client_prototypes, cap)
+        records.append(rec)
+    return state, records, cap
+
+
+@pytest.mark.parametrize("strategy", ["fedavg", "fedprox", "fedavgm", "feddf", "feddf_hetero"])
+def test_forked_clients_equal_the_serial_loop_bitwise(strategy, pooled_rounds):
+    _, val, shards, proto = small_task()
+    kw = dict(fedprox=dict(prox_mu=0.1), fedavgm=dict(server_momentum=0.5)).get(strategy, {})
+    prototypes, cmap = [proto], None
+    if strategy.startswith("feddf"):
+        kw["distill"] = DistillConfig(max_steps=20, patience=5, pool=uniform_pool())
+    if strategy == "feddf_hetero":
+        prototypes = [Prototype("a", (2, 12, 3), precision="binary_ste"), Prototype("b", (2, 8, 3))]
+        cmap, kw["drop_threshold"] = ["a", "b", "a", "b", "a"], 0.5
+    cfg = over_gate_cfg(strategy, **kw)
+    cap = {}
+    state, records = run_training(cfg, shards, val, prototypes, cmap, capture_final=cap)
+    assert pooled_rounds == [True] * cfg.rounds
+    assert multiprocessing.active_children() == []
+    ref_state, ref_records, ref_cap = serial_training(cfg, shards, val, prototypes, cmap)
+    assert len(pooled_rounds) == cfg.rounds  # the hand loop made no pool
+    assert records == ref_records
+    assert all(np.array_equal(state.params[p].values, ref_state.params[p].values) for p in state.params)
+    assert cap["client_models"].keys() == ref_cap["client_models"].keys()
+    for k, model in cap["client_models"].items():
+        ref = ref_cap["client_models"][k]
+        assert model.prototype == ref.prototype and np.array_equal(model.values, ref.values)
+    if strategy == "feddf_hetero":
+        assert any(rec.dropped for rec in records)
+
+
+def _refuse_pool(*args, **kwargs):
+    raise AssertionError("a worker pool was made")
+
+
+@pytest.mark.parametrize("case", ["one_cpu", "below_gate", "daemonic", "run_round_alone"])
+def test_rounds_that_do_not_pay_for_workers_never_fork(case, pooled_rounds, monkeypatch):
+    _, val, shards, proto = small_task()
+    monkeypatch.setattr(multiprocessing.pool, "Pool", _refuse_pool)
+    if case == "one_cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    if case == "daemonic":
+        monkeypatch.setattr(multiprocessing, "current_process", lambda: SimpleNamespace(daemon=True))
+    cfg = small_cfg("fedavg") if case == "below_gate" else over_gate_cfg("fedavg")
+    if case == "run_round_alone":
+        run_round(ServerState.initialize([proto], cfg.seed), cfg, shards, val)
+    else:
+        run_training(cfg, shards, val, [proto])
+    assert not any(pooled_rounds)
 
 
 def test_distill_config_validation():

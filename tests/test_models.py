@@ -2,10 +2,13 @@
 
 import math
 import struct
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fedfusion import numerics
 from fedfusion._errors import PrototypeMismatchError, ShapeError
@@ -229,6 +232,46 @@ def test_average_permutation_invariance():
     order = [2, 0, 3, 1]
     b = average_params([models[i] for i in order], [weights[i] for i in order])
     assert np.abs(a.values - b.values).max() < 1e-12
+
+
+@st.composite
+def models_and_weights(draw, values=st.floats(-10.0, 10.0)):
+    """A random prototype, 1-6 parameter vectors of it and positive weights."""
+    widths = tuple(draw(st.lists(st.integers(1, 5), min_size=2, max_size=4)))
+    proto = Prototype("h", widths)
+    vectors = st.lists(values, min_size=proto.n_params, max_size=proto.n_params)
+    count = draw(st.integers(1, 6))
+    models = [ParamVector(proto, np.array(draw(vectors))) for _ in range(count)]
+    weights = draw(st.lists(st.floats(1e-3, 1e3), min_size=count, max_size=count))
+    return models, weights
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=models_and_weights(), data=st.data())
+def test_average_is_idempotent_bitwise_and_permutation_invariant(case, data):
+    models, weights = case
+    same = average_params([models[0].copy() for _ in models], weights)
+    assert np.array_equal(same.values, models[0].values)
+    order = data.draw(st.permutations(range(len(models))))
+    a = average_params(models, weights)
+    b = average_params([models[i] for i in order], [weights[i] for i in order])
+    assert np.abs(a.values - b.values).max() < 1e-12  # anchored on the first model, so not bitwise
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    ident=st.text(min_size=1, max_size=12),
+    case=models_and_weights(values=st.floats(allow_nan=True, allow_infinity=True)),
+)
+def test_save_and_load_params_round_trip(ident, case):
+    model = case[0][0]
+    proto = replace(model.prototype, id=ident)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.params"
+        save_params(ParamVector(proto, model.values), path)
+        back = load_params(path, [proto])
+    assert back.prototype is proto
+    assert back.values.tobytes() == model.values.tobytes()
 
 
 def test_average_degenerate_weights():
