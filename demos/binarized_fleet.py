@@ -51,7 +51,7 @@ distill = ff.DistillConfig(
     max_steps=600, patience=150, pool=ff.DistillPool.uniform_noise(-4.0, 4.0, 2, 96)
 )
 init = ff.ParamVector(student_proto, averaged.values.copy())
-fused, steps = ff.feddf_fuse(
+fused, steps, _ = ff.feddf_fuse(
     clients, init, distill, val, np.random.default_rng(7000 + seed)
 )
 

@@ -55,7 +55,7 @@ averaged = ff.average_params([model_a, model_b], [len(shard_a), len(shard_b)])
 distill = ff.DistillConfig(
     max_steps=800, patience=200, pool=ff.DistillPool.uniform_noise(-3.0, 3.0, 2, 60)
 )
-fused, steps = ff.feddf_fuse(
+fused, steps, _ = ff.feddf_fuse(
     [model_a, model_b], averaged, distill, val, np.random.default_rng(7000 + seed)
 )
 

@@ -40,10 +40,6 @@ class Dataset:
         return self.inputs.shape[0]
 
     @property
-    def n(self) -> int:
-        return self.inputs.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.inputs.shape[1]
 
@@ -163,12 +159,13 @@ def label_entropy(labels: np.ndarray, class_count: int) -> float:
 
 
 class DistillPool:
-    """Unlabeled input source for distillation batches.
+    """Unlabeled input source for distillation batches; holds no draw state.
 
     Kinds: "heldout" draws without replacement from a fixed input matrix,
-    reshuffling at each epoch boundary; "uniform_noise" and "gaussian_noise"
-    synthesize fresh inputs per call. Pools never carry labels. A heldout
-    pool's input matrix is `inputs`; noise pools have none (None).
+    reshuffling at each epoch boundary, through a cursor its caller threads
+    (sample_distill_rows); "uniform_noise" and "gaussian_noise" synthesize
+    fresh inputs per call (sample_distill_batch). Pools never carry labels.
+    A heldout pool's input matrix is `inputs`; noise pools have none (None).
     """
 
     def __init__(self, kind: str, batch_size: int, *, inputs=None, dim=None, low=None, high=None):
@@ -178,24 +175,22 @@ class DistillPool:
             raise ValueError("batch_size must be positive")
         self.kind = kind
         self.batch_size = int(batch_size)
-        self._pos = 0
-        self._order: np.ndarray | None = None
         self._inputs: np.ndarray | None = None
         if kind == "heldout":
             x = np.ascontiguousarray(inputs, dtype=np.float64)
             if x.ndim != 2 or x.shape[0] < 1:
                 raise ShapeError("heldout pool needs a non-empty 2-D input matrix")
             self._inputs = x
-            self._dim = x.shape[1]
+            self.dim = x.shape[1]
         else:
             if dim is None or dim < 1:
                 raise ValueError("noise pools need a positive dim")
-            self._dim = int(dim)
+            self.dim = int(dim)
             if kind == "uniform_noise":
                 if low is None or high is None or not low < high:
                     raise ValueError("uniform_noise needs low < high")
-                self._low = float(low)
-                self._high = float(high)
+                self.low = float(low)
+                self.high = float(high)
 
     @staticmethod
     def heldout(inputs: np.ndarray, batch_size: int) -> "DistillPool":
@@ -210,50 +205,44 @@ class DistillPool:
         return DistillPool("gaussian_noise", batch_size, dim=dim)
 
     @property
-    def dim(self) -> int:
-        return self._dim
-
-    @property
-    def inputs(self) -> np.ndarray | None:
+    def inputs(self) -> np.ndarray | None:  # read-only; bench/record_reference.py reads _inputs
         return self._inputs
 
-    def reset(self) -> None:
-        """Forget the without-replacement cursor (next draw starts a fresh epoch)."""
-        self._order = None
-        self._pos = 0
 
-
-def sample_distill_rows(pool: DistillPool, rng: np.random.Generator) -> np.ndarray:
-    """Row indices into a heldout pool's inputs for its next batch.
+def sample_distill_rows(
+    pool: DistillPool, rng: np.random.Generator, cursor: tuple = (None, 0)
+) -> tuple[np.ndarray, tuple]:
+    """(row indices into a heldout pool's inputs for its next batch, cursor after it).
 
     Draws without replacement, reshuffling at each epoch boundary; a batch
     that crosses the boundary takes the rest of one epoch and the start of
-    the next.
+    the next. cursor = (this epoch's order, position in it); the fresh
+    cursor (None, 0) starts a new epoch.
     """
     if pool.kind != "heldout":
         raise ValueError(f"{pool.kind} pools have no rows to sample")
+    order, pos = cursor
     parts = []
     need = pool.batch_size
     n = pool.inputs.shape[0]
     while need > 0:
-        if pool._order is None or pool._pos >= n:
-            pool._order = rng.permutation(n)
-            pool._pos = 0
-        take = min(n - pool._pos, need)
-        parts.append(pool._order[pool._pos : pool._pos + take])
-        pool._pos += take
+        if order is None or pos >= n:
+            order, pos = rng.permutation(n), 0
+        take = min(n - pos, need)
+        parts.append(order[pos : pos + take])
+        pos += take
         need -= take
-    return np.concatenate(parts)
+    return np.concatenate(parts), (order, pos)
 
 
 def sample_distill_batch(pool: DistillPool, rng: np.random.Generator) -> np.ndarray:
-    """Next batch of distillation inputs, shape (batch_size, dim)."""
-    b = pool.batch_size
+    """Next batch of a noise pool's inputs, shape (batch_size, dim)."""
+    size = (pool.batch_size, pool.dim)
     if pool.kind == "uniform_noise":
-        return rng.uniform(pool._low, pool._high, size=(b, pool.dim))
+        return rng.uniform(pool.low, pool.high, size=size)
     if pool.kind == "gaussian_noise":
-        return rng.standard_normal(size=(b, pool.dim))
-    return pool.inputs[sample_distill_rows(pool, rng)]
+        return rng.standard_normal(size=size)
+    raise ValueError("heldout pools hand out row indices (sample_distill_rows), not batches")
 
 
 def split_train_val(dataset: Dataset, val_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
@@ -290,7 +279,7 @@ def save_dataset(dataset: Dataset, path) -> None:
             cells = ["%.17g" % v for v in row]
             cells.append(str(int(lab)))
             fh.write(",".join(cells) + "\n")
-    meta = {"class_count": dataset.class_count, "n": dataset.n, "d": d}
+    meta = {"class_count": dataset.class_count, "n": len(dataset), "d": d}
     with open(str(path) + ".meta.json", "w") as fh:
         json.dump(meta, fh, sort_keys=True)
         fh.write("\n")

@@ -29,7 +29,9 @@ batch is a contiguous slice.
 The teachers are fixed while one fusion runs, so with a heldout pool
 feddf_fuse computes their softmax targets once, over the whole pool, and
 gathers each batch's rows from them into buffers. Noise pools have no
-fixed rows and run the teachers on every batch.
+fixed rows and run the teachers on every batch. The heldout epoch cursor is
+run state, not pool state: ServerState.pool_cursor carries it from fusion to
+fusion, through each round's prototypes in sorted id order.
 
 Determinism: every random stream is derived from (seed, stream tag, round,
 client), never from call order, so the order in which a round's clients are
@@ -37,7 +39,8 @@ trained cannot change its result. So from its first round with two or more
 clients and _POOL_MIN_STEPS local steps (epochs * ceil(shard / batch), summed),
 the work that pays for a fork, run_training trains clients in a fork-context
 pool. Both paths run _train_client and read results in client-id order, so
-results and the first error are the serial loop's. Smaller rounds, one CPU, no
+results and the first error are the serial loop's; a worker that dies fails the
+round, named for the lowest client whose result was lost. Smaller rounds, one CPU, no
 fork, a daemonic process or run_round alone train serially.
 """
 
@@ -170,12 +173,13 @@ class FLConfig:
 
 @dataclass
 class ServerState:
-    """Server model(s) keyed by prototype id, plus momentum buffers."""
+    """Server model(s) keyed by prototype id, momentum buffers and the heldout pool's epoch cursor."""
 
     params: dict[str, ParamVector]
     velocity: dict[str, np.ndarray]
     round_index: int
     seed: int
+    pool_cursor: tuple = (None, 0)  # sample_distill_rows's (epoch order, position)
 
     @staticmethod
     def initialize(prototypes: list[Prototype], seed: int) -> "ServerState":
@@ -325,7 +329,7 @@ def _train_client(job: tuple[int, ParamVector, int], cfg=None, shards=None) -> n
 
 
 class _Workers:
-    """run_training's forked worker pool, made at the first round worth it."""
+    """run_training's forked worker pool, made at the first round worth it; a dead worker breaks it."""
     pool = None
 
     def submit(self, jobs: list[tuple[int, ParamVector, int]], cfg: FLConfig, shards: list[Dataset]) -> list | None:
@@ -338,15 +342,16 @@ class _Workers:
             import multiprocessing
             if "fork" not in multiprocessing.get_all_start_methods() or multiprocessing.current_process().daemon:
                 return None
-            self.pool = multiprocessing.get_context("fork").Pool(min(cpus, len(jobs)), _SHARED.extend, ([cfg, shards],))
+            from concurrent.futures import ProcessPoolExecutor
+            fork = multiprocessing.get_context("fork")  # a worker that dies fails the pending jobs: BrokenProcessPool
+            self.pool = ProcessPoolExecutor(min(cpus, len(jobs)), fork, _SHARED.extend, ([cfg, shards],))
         by_size = sorted(jobs, key=lambda j: -len(shards[j[0]]))
-        pending = {j[0]: self.pool.apply_async(_train_client, (j,)) for j in by_size}
-        return [pending[k].get for k, _, _ in jobs]
+        pending = {j[0]: self.pool.submit(_train_client, j) for j in by_size}
+        return [pending[k].result for k, _, _ in jobs]
 
     def close(self) -> None:
         if self.pool is not None:
-            self.pool.terminate()
-            self.pool.join()
+            self.pool.shutdown(cancel_futures=True)  # joins every worker, also after one died
 
 
 def _kept_indices(accs: list[float], threshold: float | None) -> list[int]:
@@ -394,15 +399,19 @@ def feddf_fuse(
     cfg: DistillConfig,
     val: Dataset,
     rng: np.random.Generator,
-) -> tuple[ParamVector, int]:
+    cursor: tuple = (None, 0),
+) -> tuple[ParamVector, int, tuple]:
     """Distill the teachers' averaged logits into a student started at init.
 
     Adam with cosine-annealed lr over max_steps; after each step the student
     is scored on val, the best snapshot is tracked (seeded with init itself),
     and the loop stops early once patience steps pass without improvement.
-    Returns (best snapshot, steps actually taken). Binarized prototypes are
-    trained and scored as their full-precision twin; the returned vector is
-    re-bound to the original prototype as its master values.
+    Returns (best snapshot, steps actually taken, heldout cursor after the
+    last batch). A heldout pool's batches continue from cursor, as
+    sample_distill_rows threads it; noise pools pass it through. Equal
+    arguments and equally seeded rngs give equal results. Binarized
+    prototypes are trained and scored as their full-precision twin; the
+    returned vector is re-bound to the original prototype as its master values.
 
     A heldout pool's targets come from one ensemble pass over all its rows,
     made before the first step; each step gathers its batch's rows from
@@ -427,7 +436,7 @@ def feddf_fuse(
     if cfg.pool.dim != proto.n_inputs:
         raise ShapeError(f"pool dim {cfg.pool.dim} != model input width {proto.n_inputs}")
     if cfg.max_steps == 0:
-        return init.copy(), 0
+        return init.copy(), 0, cursor
     student_proto = replace(proto, precision="full")
     _check_fits(student_proto, val, "val")
     opt = numerics.OptimizerState.adam(
@@ -457,7 +466,7 @@ def feddf_fuse(
         targets = np.empty((pool.batch_size, proto.n_classes))
     for _ in range(cfg.max_steps):
         if pool.kind == "heldout":
-            rows = sample_distill_rows(pool, rng)  # in range, as a local-SGD epoch's order
+            rows, cursor = sample_distill_rows(pool, rng, cursor)  # in range, as a local-SGD epoch's order
             np.take(pool.inputs, rows, axis=0, out=batch, mode="clip")
             np.take(pool_targets, rows, axis=0, out=targets, mode="clip")
         else:
@@ -472,7 +481,7 @@ def feddf_fuse(
             best_step = steps
         if steps - best_step >= cfg.patience:
             break
-    return ParamVector(proto, best_values), steps
+    return ParamVector(proto, best_values), steps, cursor
 
 
 def run_round(
@@ -523,7 +532,7 @@ def run_round(
     for i, job in enumerate(jobs):  # results in client-id order: the lowest failing client raises
         try:
             values = pooled[i]() if pooled else _train_client(job, cfg, shards)
-        except ValueError as e:  # e.g. a diverging client's non-finite loss
+        except (ValueError, RuntimeError) as e:  # a diverging client's non-finite loss; BrokenProcessPool
             raise type(e)(f"round {t}, client {job[0]}: {e}") from e
         trained.append(ParamVector(job[1].prototype, values))
     val_logits = [predict_logits(m, val.inputs) for m in trained]
@@ -532,7 +541,7 @@ def run_round(
     kept_models = [trained[i] for i in kept_idx]
     dropped = [int(k) for k in ids if int(k) not in set(kept_ids)]
     acc_ens = _accuracy(_mean_logits([val_logits[i] for i in kept_idx]), val)
-    prng = pool_rng(cfg.seed, t)
+    prng, cursor = pool_rng(cfg.seed, t), state.pool_cursor
     new_params = dict(state.params)
     velocity = dict(state.velocity)
     per_proto: dict[str, dict[str, float]] = {}
@@ -552,7 +561,7 @@ def run_round(
             velocity[pid] = beta * v_prev + (x_prev.values - avg.values)
         elif cfg.distill is not None:  # feddf, feddf_hetero
             init = avg if cfg.distill.init_mode == "from_average" else x_prev
-            new, steps = feddf_fuse(kept_models, init, cfg.distill, val, prng)
+            new, steps, cursor = feddf_fuse(kept_models, init, cfg.distill, val, prng, cursor)
             distill_steps = max(distill_steps, steps)
         else:  # fedavg, fedprox
             new = avg
@@ -576,8 +585,7 @@ def run_round(
         distill_steps=distill_steps,
         per_prototype=per_proto if hetero else {},
     )
-    new_state = ServerState(new_params, velocity, t, state.seed)
-    return new_state, record
+    return ServerState(new_params, velocity, t, state.seed, cursor), record
 
 
 def run_training(
@@ -591,12 +599,9 @@ def run_training(
     """Full T-round run from a fresh server state; pure function of cfg + data.
 
     The one exception is each record's wall_ms, the wall time of its
-    run_round call. The distillation pool's epoch cursor is reset at the
-    start so repeated calls with the same config are identical.
-    capture_final is the last round's capture. No forked worker outlives the call.
+    run_round call. capture_final is the last round's capture. No forked
+    worker outlives the call.
     """
-    if cfg.distill is not None:
-        cfg.distill.pool.reset()
     state = ServerState.initialize(prototypes, cfg.seed)
     records: list[RoundRecord] = []
     workers = _Workers()

@@ -93,10 +93,6 @@ class ParamVector:
             )
         self.values = vals
 
-    @property
-    def prototype_id(self) -> str:
-        return self.prototype.id
-
     def copy(self) -> "ParamVector":
         return ParamVector(self.prototype, self.values.copy())
 

@@ -311,7 +311,7 @@ def test_criterion_03_one_shot_fusion_sharpens_blurred_average():
         cfg = ff.DistillConfig(
             max_steps=800, patience=200, pool=ff.DistillPool.uniform_noise(-3.0, 3.0, 2, 60)
         )
-        fused, _ = ff.feddf_fuse([ma, mb], avg, cfg, val, np.random.default_rng(7000 + seed))
+        fused, _, _ = ff.feddf_fuse([ma, mb], avg, cfg, val, np.random.default_rng(7000 + seed))
         return (
             ff.ensemble_accuracy([ma, mb], test),
             ff.top1_accuracy(fused, test),

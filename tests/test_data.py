@@ -185,39 +185,46 @@ def test_heldout_pool_epochs_draw_without_replacement():
     inputs = np.arange(20.0).reshape(10, 2)
     pool = DistillPool.heldout(inputs, 5)
     rng = np.random.default_rng(0)
-    first = sample_distill_batch(pool, rng)
-    second = sample_distill_batch(pool, rng)
-    rows = {tuple(r) for r in np.vstack([first, second])}
-    assert len(rows) == 10  # one full epoch, no repeats
+    first, cursor = sample_distill_rows(pool, rng)
+    second, _ = sample_distill_rows(pool, rng, cursor)
+    assert sorted(np.concatenate([first, second]).tolist()) == list(range(10))  # one full epoch, no repeats
 
     full = DistillPool.heldout(inputs, 10)
-    batch = sample_distill_batch(full, np.random.default_rng(1))
-    assert np.array_equal(np.sort(batch, axis=0), inputs)
+    rows, _ = sample_distill_rows(full, np.random.default_rng(1))
+    assert sorted(rows.tolist()) == list(range(10))
 
 
-def test_heldout_pool_reset_restarts_the_epoch():
-    inputs = np.arange(20.0).reshape(10, 2)
-    pool = DistillPool.heldout(inputs, 5)
-    first = sample_distill_batch(pool, np.random.default_rng(0))
-    pool.reset()
-    again = sample_distill_batch(pool, np.random.default_rng(0))
+def test_the_fresh_cursor_restarts_the_epoch():
+    pool = DistillPool.heldout(np.arange(20.0).reshape(10, 2), 5)
+    first, cursor = sample_distill_rows(pool, np.random.default_rng(0))
+    again, again_cursor = sample_distill_rows(pool, np.random.default_rng(0), (None, 0))
     assert np.array_equal(first, again)
+    assert again_cursor[1] == cursor[1] == 5 and np.array_equal(again_cursor[0], cursor[0])
 
 
-def test_heldout_rows_gather_to_the_same_batches():
-    inputs = np.arange(20.0).reshape(10, 2)
-    by_rows, by_batch = DistillPool.heldout(inputs, 4), DistillPool.heldout(inputs, 4)
-    rng_rows, rng_batch = np.random.default_rng(3), np.random.default_rng(3)
-    for _ in range(7):  # batches of 4 from 10 rows cross every epoch boundary
-        rows = sample_distill_rows(by_rows, rng_rows)
-        assert rows.shape == (4,)
-        assert np.array_equal(by_rows.inputs[rows], sample_distill_batch(by_batch, rng_batch))
-    assert rng_rows.bit_generator.state == rng_batch.bit_generator.state
+@pytest.mark.parametrize("rows, batch", [(10, 4), (10, 10), (10, 25), (7, 3)])
+def test_a_threaded_cursor_slices_one_stream_of_epoch_permutations(rows, batch):
+    pool = DistillPool.heldout(np.arange(2.0 * rows).reshape(rows, 2), batch)
+    held = dict(vars(pool))
+    rng, cursor, drawn = np.random.default_rng(3), (None, 0), []
+    for _ in range(7):  # crosses epoch boundaries, or several epochs per batch
+        taken, cursor = sample_distill_rows(pool, rng, cursor)
+        assert taken.shape == (batch,)
+        drawn.append(taken)
+    ref = np.random.default_rng(3)  # epochs are drawn as they are needed, one permutation each
+    stream = np.concatenate([ref.permutation(rows) for _ in range(-(-7 * batch // rows))])
+    assert np.array_equal(np.concatenate(drawn), stream[: 7 * batch])
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert cursor[1] == 7 * batch - (len(stream) - rows)
+    assert vars(pool).keys() == held.keys() and all(vars(pool)[k] is v for k, v in held.items())
 
 
 def test_only_heldout_pools_have_rows():
     inputs = np.arange(20.0).reshape(10, 2)
-    assert np.array_equal(DistillPool.heldout(inputs, 4).inputs, inputs)
+    heldout = DistillPool.heldout(inputs, 4)
+    assert np.array_equal(heldout.inputs, inputs)
+    with pytest.raises(ValueError, match="row indices"):
+        sample_distill_batch(heldout, np.random.default_rng(0))
     for pool in (DistillPool.uniform_noise(-1.0, 1.0, 2, 4), DistillPool.gaussian_noise(2, 4)):
         assert pool.inputs is None
         with pytest.raises(ValueError):

@@ -1,7 +1,11 @@
 """Federated rounds: sampling, local training, fusion, strategy degeneracies."""
 
-import multiprocessing.pool
+import concurrent.futures
+import multiprocessing
 import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -275,7 +279,7 @@ def test_feddf_fuse_zero_steps_returns_init_copy():
     teachers = [init_params(proto, s) for s in range(2)]
     init = init_params(proto, 9)
     cfg = DistillConfig(max_steps=0, patience=1, pool=uniform_pool())
-    fused, steps = feddf_fuse(teachers, init, cfg, val, np.random.default_rng(0))
+    fused, steps, _ = feddf_fuse(teachers, init, cfg, val, np.random.default_rng(0))
     assert steps == 0
     assert fused is not init
     assert np.array_equal(fused.values, init.values)
@@ -291,7 +295,7 @@ def test_feddf_fuse_never_scores_below_init():
         ]
         init = ff.average_params(teachers, [len(shards[s % len(shards)]) for s in range(3)])
         cfg = DistillConfig(max_steps=60, patience=20, pool=uniform_pool())
-        fused, steps = feddf_fuse(teachers, init, cfg, val, np.random.default_rng(seed))
+        fused, steps, _ = feddf_fuse(teachers, init, cfg, val, np.random.default_rng(seed))
         assert 1 <= steps <= 60
         assert top1_accuracy(fused, val) >= top1_accuracy(init, val)
 
@@ -301,7 +305,7 @@ def test_feddf_fuse_early_stops_on_plateau():
     teachers = [init_params(proto, s) for s in range(2)]
     init = init_params(proto, 5)
     cfg = DistillConfig(max_steps=500, patience=10, pool=uniform_pool())
-    _, steps = feddf_fuse(teachers, init, cfg, val, np.random.default_rng(0))
+    _, steps, _ = feddf_fuse(teachers, init, cfg, val, np.random.default_rng(0))
     assert steps < 500
 
 
@@ -320,7 +324,7 @@ def fused_targets(monkeypatch, teachers, init, cfg, val):
         return spy
 
     monkeypatch.setattr(numerics, "_trainer", spy_trainer)
-    _, steps = feddf_fuse(teachers, init, cfg, val, np.random.default_rng(0))
+    _, steps, _ = feddf_fuse(teachers, init, cfg, val, np.random.default_rng(0))
     assert len(seen) == steps
     return seen
 
@@ -356,7 +360,7 @@ def test_heldout_targets_match_per_batch_targets_at_any_row_count(monkeypatch):
             np.testing.assert_allclose(targets, expect, rtol=0.0, atol=1e-14)
 
 
-def reference_fuse(teachers, init, cfg, val, rng):
+def reference_fuse(teachers, init, cfg, val, rng, cursor=(None, 0)):
     """feddf_fuse written with the public numerics.grad, opt_step and top1_accuracy."""
     proto = init.prototype
     twin = Prototype(proto.id, proto.layer_widths, proto.activation, "full")
@@ -368,7 +372,7 @@ def reference_fuse(teachers, init, cfg, val, rng):
         pool_targets = numerics.softmax(ensemble_logits(teachers, pool.inputs))
     for _ in range(cfg.max_steps):
         if pool.kind == "heldout":
-            rows = ff.data.sample_distill_rows(pool, rng)
+            rows, cursor = ff.data.sample_distill_rows(pool, rng, cursor)
             batch, targets = pool.inputs[rows], pool_targets[rows]
         else:
             batch = ff.sample_distill_batch(pool, rng)
@@ -381,7 +385,11 @@ def reference_fuse(teachers, init, cfg, val, rng):
             best_acc, best_values, best_step = acc, student.values.copy(), steps
         if steps - best_step >= cfg.patience:
             break
-    return ParamVector(proto, best_values), steps
+    return ParamVector(proto, best_values), steps, cursor
+
+
+def same_cursor(a, b):
+    return a[1] == b[1] and (a[0] is b[0] is None or np.array_equal(a[0], b[0]))
 
 
 def fusion_case(pool_kind, activation, precision, init_mode, max_steps, patience):
@@ -418,10 +426,10 @@ FUSION_CASES = [
 @pytest.mark.parametrize("pool_kind, activation, precision, init_mode, max_steps, patience", FUSION_CASES)
 def test_feddf_fuse_equals_grad_opt_step_loop_bitwise(pool_kind, activation, precision, init_mode, max_steps, patience):
     teachers, init, cfg, val = fusion_case(pool_kind, activation, precision, init_mode, max_steps, patience)
-    fused, steps = feddf_fuse(teachers, init, cfg, val, np.random.default_rng(8))
-    cfg.pool.reset()
-    ref, ref_steps = reference_fuse(teachers, init, cfg, val, np.random.default_rng(8))
+    fused, steps, cursor = feddf_fuse(teachers, init, cfg, val, np.random.default_rng(8))
+    ref, ref_steps, ref_cursor = reference_fuse(teachers, init, cfg, val, np.random.default_rng(8))
     assert steps == ref_steps
+    assert same_cursor(cursor, ref_cursor) and (cursor[0] is None) == (pool_kind != "heldout")
     assert steps == max_steps if patience == max_steps else steps < max_steps
     assert fused.prototype == ref.prototype == init.prototype
     assert np.array_equal(fused.values, ref.values)
@@ -450,11 +458,22 @@ def test_feddf_fuse_equals_the_reference_loop_on_random_shapes(shape, pool_kind,
         "gaussian_noise": lambda: ff.DistillPool.gaussian_noise(2, batch),
     }[pool_kind]()
     cfg = DistillConfig(max_steps, min(patience, max_steps), pool, base_lr=0.05)
-    fused, steps = feddf_fuse(teachers, init, cfg, val, np.random.default_rng(seed))
-    cfg.pool.reset()
-    ref, ref_steps = reference_fuse(teachers, init, cfg, val, np.random.default_rng(seed))
+    fused, steps, cursor = feddf_fuse(teachers, init, cfg, val, np.random.default_rng(seed))
+    ref, ref_steps, ref_cursor = reference_fuse(teachers, init, cfg, val, np.random.default_rng(seed))
     assert steps == ref_steps
     assert np.array_equal(fused.values, ref.values)
+    assert same_cursor(cursor, ref_cursor)
+
+
+def test_repeated_heldout_fusions_with_equal_arguments_give_equal_bits():
+    teachers, init, cfg, val = fusion_case("heldout", "relu", "full", "from_average", 30, 30)
+    first, steps, cursor = feddf_fuse(teachers, init, cfg, val, np.random.default_rng(0))
+    again, again_steps, again_cursor = feddf_fuse(teachers, init, cfg, val, np.random.default_rng(0))
+    assert 0 < cursor[1] < len(cfg.pool.inputs)  # 30 batches of 16 end inside an epoch of 45 rows
+    assert steps == again_steps and same_cursor(cursor, again_cursor)
+    assert np.array_equal(first.values, again.values)
+    carried, _, _ = feddf_fuse(teachers, init, cfg, val, np.random.default_rng(0), cursor)
+    assert not np.array_equal(first.values, carried.values)  # a threaded cursor draws other rows
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
@@ -464,7 +483,6 @@ def test_diverging_student_raises_the_reference_loop_error(pool_kind):
     cfg.base_lr = 1e300
     with pytest.raises(ValueError) as ours:
         feddf_fuse(teachers, init, cfg, val, np.random.default_rng(8))
-    cfg.pool.reset()
     with pytest.raises(ValueError) as ref:
         reference_fuse(teachers, init, cfg, val, np.random.default_rng(8))
     assert str(ours.value) == str(ref.value)
@@ -499,11 +517,11 @@ def test_heldout_fusion_runs_the_teachers_once(monkeypatch):
     for max_steps in (1, 7, 30):
         calls.clear()
         cfg = DistillConfig(max_steps, max_steps, ff.DistillPool.heldout(pool_inputs, 16))
-        _, steps = feddf_fuse(teachers, init_params(proto, 9), cfg, val, np.random.default_rng(0))
+        _, steps, _ = feddf_fuse(teachers, init_params(proto, 9), cfg, val, np.random.default_rng(0))
         assert steps == max_steps and calls == [40]
         calls.clear()
         cfg = DistillConfig(max_steps, max_steps, uniform_pool(16))
-        _, steps = feddf_fuse(teachers, init_params(proto, 9), cfg, val, np.random.default_rng(0))
+        _, steps, _ = feddf_fuse(teachers, init_params(proto, 9), cfg, val, np.random.default_rng(0))
         assert steps == max_steps and calls == [16] * max_steps
 
 
@@ -536,8 +554,6 @@ def test_diverging_client_error_names_round_and_client(make_cfg, pooled_rounds):
 
 def serial_training(cfg, shards, val, prototypes, client_prototypes=None):
     """run_training as a hand loop of run_round calls, which train every client serially."""
-    if cfg.distill is not None:
-        cfg.distill.pool.reset()
     state, records, cap = ServerState.initialize(prototypes, cfg.seed), [], {}
     for _ in range(cfg.rounds):
         state, rec = run_round(state, cfg, shards, val, client_prototypes, cap)
@@ -545,13 +561,15 @@ def serial_training(cfg, shards, val, prototypes, client_prototypes=None):
     return state, records, cap
 
 
-@pytest.mark.parametrize("strategy", ["fedavg", "fedprox", "fedavgm", "feddf", "feddf_hetero"])
+@pytest.mark.parametrize("strategy", ["fedavg", "fedprox", "fedavgm", "feddf", "feddf_heldout", "feddf_hetero"])
 def test_forked_clients_equal_the_serial_loop_bitwise(strategy, pooled_rounds):
     _, val, shards, proto = small_task()
     kw = dict(fedprox=dict(prox_mu=0.1), fedavgm=dict(server_momentum=0.5)).get(strategy, {})
     prototypes, cmap = [proto], None
     if strategy.startswith("feddf"):
         kw["distill"] = DistillConfig(max_steps=20, patience=5, pool=uniform_pool())
+    if strategy == "feddf_heldout":  # batches of 16 from 45 rows: epochs straddle fusions and rounds
+        strategy, kw["distill"].pool = "feddf", ff.DistillPool.heldout(np.random.default_rng(3).normal(size=(45, 2)), 16)
     if strategy == "feddf_hetero":
         prototypes = [Prototype("a", (2, 12, 3), precision="binary_ste"), Prototype("b", (2, 8, 3))]
         cmap, kw["drop_threshold"] = ["a", "b", "a", "b", "a"], 0.5
@@ -564,12 +582,57 @@ def test_forked_clients_equal_the_serial_loop_bitwise(strategy, pooled_rounds):
     assert len(pooled_rounds) == cfg.rounds  # the hand loop made no pool
     assert records == ref_records
     assert all(np.array_equal(state.params[p].values, ref_state.params[p].values) for p in state.params)
+    assert same_cursor(state.pool_cursor, ref_state.pool_cursor)
+    assert (0 < state.pool_cursor[1] < 45) if cfg.distill and cfg.distill.pool.kind == "heldout" else state.pool_cursor == (None, 0)
     assert cap["client_models"].keys() == ref_cap["client_models"].keys()
     for k, model in cap["client_models"].items():
         ref = ref_cap["client_models"][k]
         assert model.prototype == ref.prototype and np.array_equal(model.values, ref.values)
     if strategy == "feddf_hetero":
         assert any(rec.dropped for rec in records)
+
+
+DEAD_WORKER_RUN = """
+import multiprocessing, os, time
+import fedfusion as ff
+from fedfusion import flcore
+
+full = ff.make_gaussian_blobs(3, 60, None, 0.5, seed=1000)
+train, val = ff.split_train_val(full, 0.2, seed=2000)
+shards = [train.subset(ix) for ix in ff.dirichlet_partition(train.labels, ff.PartitionSpec(1.0, 4, 3000))]
+cfg = flcore.FLConfig(rounds=3, client_count=4, participation=1.0, local_epochs=20, local_lr=0.05,
+                      local_batch=8, strategy="fedavg")
+os.sched_getaffinity = lambda pid: {0, 1}  # two usable CPUs on any host
+client_rng = flcore.client_rng
+
+def dying_rng(seed, t, k):  # the worker that trains client 0 dies
+    if k == 0:
+        os._exit(1)
+    return client_rng(seed, t, k)
+
+flcore.client_rng = dying_rng
+tic = time.perf_counter()
+try:
+    flcore.run_training(cfg, shards, val, [ff.Prototype("m", (2, 12, 3))])
+except Exception as e:
+    print(f"{time.perf_counter() - tic:.3f}", type(e).__name__, e)
+print("children", len(multiprocessing.active_children()))
+"""
+
+
+def test_a_dead_worker_fails_the_round_naming_its_client():
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(  # a child process, so a pool that waits forever fails here instead of hanging
+        [sys.executable, "-c", DEAD_WORKER_RUN], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    error, children = proc.stdout.splitlines()
+    seconds, kind, message = error.split(" ", 2)
+    assert kind == "BrokenProcessPool" and message.startswith("round 1, client 0: ")
+    assert float(seconds) < 10.0
+    assert children == "children 0"
 
 
 def _refuse_pool(*args, **kwargs):
@@ -579,7 +642,7 @@ def _refuse_pool(*args, **kwargs):
 @pytest.mark.parametrize("case", ["one_cpu", "below_gate", "daemonic", "run_round_alone"])
 def test_rounds_that_do_not_pay_for_workers_never_fork(case, pooled_rounds, monkeypatch):
     _, val, shards, proto = small_task()
-    monkeypatch.setattr(multiprocessing.pool, "Pool", _refuse_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _refuse_pool)
     if case == "one_cpu":
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     if case == "daemonic":
@@ -808,7 +871,7 @@ def test_ensemble_dominance_on_disjoint_expert_toy():
                                  np.random.default_rng(6000 + seed))
         avg = ff.average_params([ma, mb], [len(sa), len(sb)])
         cfg = DistillConfig(max_steps=800, patience=200, pool=uniform_pool(60))
-        fused, _ = feddf_fuse([ma, mb], avg, cfg, val, np.random.default_rng(7000 + seed))
+        fused, _, _ = feddf_fuse([ma, mb], avg, cfg, val, np.random.default_rng(7000 + seed))
         return (
             ensemble_accuracy([ma, mb], test),
             top1_accuracy(fused, test),
