@@ -103,6 +103,10 @@ def axis_stumps_2d(grid) -> HypothesisClass:
     return HypothesisClass(hyps, 3, "axis_stumps_2d")
 
 
+# family name -> class builder; "mixed" picks the (seed % 3)-th in this order
+FAMILIES = {f.__name__: f for f in (thresholds_1d, signed_thresholds_1d, axis_stumps_2d)}
+
+
 def _check_binary(sample: Dataset, name: str) -> None:
     if sample.class_count != 2:
         raise ValueError(f"{name} must be binary-labeled, has class_count {sample.class_count}")
@@ -287,13 +291,12 @@ def make_bound_instance(
     Client input distributions are Gaussians with distinct means; the global
     distribution is their uniform mixture. Labels come from a hidden
     threshold rule plus symmetric label noise. family picks the hypothesis
-    class ("thresholds_1d", "signed_thresholds_1d", "axis_stumps_2d", or
-    "mixed" to rotate by seed).
+    class (a FAMILIES name, or "mixed" to rotate by seed).
     """
     rng = np.random.default_rng(seed)
     if family == "mixed":
-        family = ("thresholds_1d", "signed_thresholds_1d", "axis_stumps_2d")[seed % 3]
-    if family not in ("thresholds_1d", "signed_thresholds_1d", "axis_stumps_2d"):
+        family = list(FAMILIES)[seed % len(FAMILIES)]
+    if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     dim = 2 if family == "axis_stumps_2d" else 1
     k = int(k_clients) if k_clients is not None else int(rng.integers(1, 6))
@@ -320,14 +323,8 @@ def make_bound_instance(
     xg = mus[comp] + sigmas[comp] * rng.standard_normal((ref_size, dim))
     global_sample = labeled(xg)
 
-    grid = np.linspace(-3.0, 3.0, grid_size)
-    builder = {
-        "thresholds_1d": thresholds_1d,
-        "signed_thresholds_1d": signed_thresholds_1d,
-        "axis_stumps_2d": axis_stumps_2d,
-    }[family]
     return {
-        "hclass": builder(grid),
+        "hclass": FAMILIES[family](np.linspace(-3.0, 3.0, grid_size)),
         "global_sample": global_sample,
         "local_samples": locals_,
         "k_clients": k,

@@ -12,13 +12,10 @@ Nothing nondeterministic is printed.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
 from ._errors import ConfigError
 from .harness import (
-    OUTPUT_ENV_VAR,
     load_bound_config,
     load_experiment_config,
     partition_report,
@@ -59,19 +56,13 @@ def _cmd_partition_stats(args) -> int:
     cfg = load_experiment_config(args.config)
     seed = cfg.seeds[0] if args.seed is None else args.seed
     report = partition_report(cfg, seed)
-    root = resolve_output_root(cfg)
-    root.mkdir(parents=True, exist_ok=True)
-    out_path = root / f"partition_stats_seed{seed}.json"
-    with open(out_path, "w") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
-        fh.write("\n")
     print(f"alpha={report['alpha']} clients={report['clients']} classes={report['classes']}")
     print(f"mean label entropy: {report['mean_entropy']:.4f} nats")
     print("client  size  entropy  histogram")
     for row in report["clients_detail"]:
         hist = ",".join(str(c) for c in row["class_histogram"])
         print(f"{row['client']:>6}  {row['size']:>4}  {row['entropy']:.4f}  [{hist}]")
-    print(f"report: {out_path}")
+    print(f"report: {resolve_output_root(cfg) / f'partition_stats_seed{seed}.json'}")
     return 0
 
 

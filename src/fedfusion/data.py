@@ -158,6 +158,9 @@ def label_entropy(labels: np.ndarray, class_count: int) -> float:
     return float(-(p * np.log(p)).sum() + 0.0)
 
 
+POOL_KINDS = ("heldout", "uniform_noise", "gaussian_noise")
+
+
 class DistillPool:
     """Unlabeled input source for distillation batches; holds no draw state.
 
@@ -169,7 +172,7 @@ class DistillPool:
     """
 
     def __init__(self, kind: str, batch_size: int, *, inputs=None, dim=None, low=None, high=None):
-        if kind not in ("heldout", "uniform_noise", "gaussian_noise"):
+        if kind not in POOL_KINDS:
             raise ValueError(f"unknown pool kind {kind!r}")
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
@@ -187,8 +190,8 @@ class DistillPool:
                 raise ValueError("noise pools need a positive dim")
             self.dim = int(dim)
             if kind == "uniform_noise":
-                if low is None or high is None or not low < high:
-                    raise ValueError("uniform_noise needs low < high")
+                if low is None or high is None or not (low < high and np.isfinite(high - low)):
+                    raise ValueError("uniform_noise needs low < high and a finite high - low")
                 self.low = float(low)
                 self.high = float(high)
 
@@ -273,12 +276,8 @@ def save_dataset(dataset: Dataset, path) -> None:
     """CSV with header x0..x{d-1},label plus a JSON sidecar (<path>.meta.json)."""
     d = dataset.dim
     header = ",".join([f"x{i}" for i in range(d)] + ["label"])
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row, lab in zip(dataset.inputs, dataset.labels):
-            cells = ["%.17g" % v for v in row]
-            cells.append(str(int(lab)))
-            fh.write(",".join(cells) + "\n")
+    rows = np.column_stack([dataset.inputs, dataset.labels])  # labels < 2**53 stay exact as floats
+    np.savetxt(path, rows, fmt=["%.17g"] * d + ["%d"], delimiter=",", header=header, comments="")
     meta = {"class_count": dataset.class_count, "n": len(dataset), "d": d}
     with open(str(path) + ".meta.json", "w") as fh:
         json.dump(meta, fh, sort_keys=True)

@@ -3,8 +3,9 @@
 Strategies
 ----------
 fedavg        sample clients, local SGD, shard-size weighted parameter average.
-fedprox       fedavg whose local gradients add mu * (x - anchor); mu = 0 takes
-              the exact fedavg code path.
+fedprox       fedavg whose local gradients add mu * (x - x_start), pulling each
+              client toward the round's start model; mu = 0 takes the exact
+              fedavg code path.
 fedavgm       fedavg plus server momentum: v' = beta * v + (x_prev - avg),
               x' = avg - beta * v. beta = 0 reduces to fedavg bit for bit.
 feddf         fedavg's average, then refined by distilling the ensemble of
@@ -67,6 +68,7 @@ from .models import (
 )
 
 STRATEGIES = ("fedavg", "fedprox", "fedavgm", "feddf", "feddf_hetero")
+DISTILLING = ("feddf", "feddf_hetero")  # the strategies that fuse by distillation
 
 # stream tags keep derived RNG streams disjoint from each other
 _SAMPLE_STREAM = 1
@@ -114,8 +116,8 @@ class DistillConfig:
             raise ConfigError(
                 f"patience must lie in [1, max_steps], got {self.patience} with max_steps {self.max_steps}"
             )
-        if not self.base_lr > 0:
-            raise ConfigError("distill base_lr must be positive")
+        if not 0 < self.base_lr < np.inf:
+            raise ConfigError("distill base_lr must be finite and positive")
         if self.init_mode not in ("from_average", "from_previous"):
             raise ConfigError(f"unknown init_mode {self.init_mode!r}")
 
@@ -146,23 +148,23 @@ class FLConfig:
             raise ConfigError("participation must lie in (0, 1]")
         if self.local_epochs < 0:
             raise ConfigError("local_epochs must be >= 0")
-        if not self.local_lr > 0:
-            raise ConfigError("local_lr must be positive")
+        if not 0 < self.local_lr < np.inf:
+            raise ConfigError("local_lr must be finite and positive")
         if self.local_batch < 1:
             raise ConfigError("local_batch must be >= 1")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
-        if self.prox_mu < 0:
-            raise ConfigError("prox_mu must be >= 0")
+        if not 0 <= self.prox_mu < np.inf:
+            raise ConfigError("prox_mu must be finite and >= 0")
         if self.prox_mu != 0.0 and self.strategy != "fedprox":
             raise ConfigError("prox_mu is only meaningful for strategy 'fedprox'")
         if not 0.0 <= self.server_momentum < 1.0:
             raise ConfigError("server_momentum must lie in [0, 1)")
         if self.server_momentum != 0.0 and self.strategy != "fedavgm":
             raise ConfigError("server_momentum is only meaningful for strategy 'fedavgm'")
-        needs_distill = self.strategy in ("feddf", "feddf_hetero")
+        needs_distill = self.strategy in DISTILLING
         if needs_distill and self.distill is None:
             raise ConfigError(f"strategy {self.strategy!r} requires a distill config")
         if not needs_distill and self.distill is not None:
@@ -235,12 +237,16 @@ class RoundRecord:
 
 
 def sample_clients(client_count: int, participation: float, rng: np.random.Generator) -> np.ndarray:
-    """ceil(participation * client_count) distinct client ids, sorted."""
+    """ceil(participation * client_count) distinct client ids, sorted; at least one.
+
+    The product is rounded to 9 decimals first, so float error cannot add a
+    client (0.55 * 100 is 55.00000000000001).
+    """
     if client_count < 1:
         raise ConfigError("client_count must be >= 1")
     if not 0.0 < participation <= 1.0:
         raise ConfigError("participation must lie in (0, 1]")
-    count = int(np.ceil(participation * client_count))
+    count = max(1, int(np.ceil(round(participation * client_count, 9))))
     return np.sort(rng.choice(client_count, size=count, replace=False))
 
 
@@ -276,14 +282,13 @@ def client_local_update(
     batch_size: int,
     rng: np.random.Generator,
     prox_mu: float = 0.0,
-    anchor: ParamVector | None = None,
 ) -> ParamVector:
     """Epochs of shuffled mini-batch SGD on cross-entropy; constant lr.
 
-    prox_mu > 0 adds mu * (x - anchor) to every gradient (anchor defaults to
-    start); mu = 0 takes the untouched SGD path. Binary prototypes train
-    through the straight-through estimator. epochs = 0 returns start's values
-    unchanged.
+    prox_mu > 0 adds mu * (x - start) to every gradient, FedProx's pull toward
+    the round's start model; mu = 0 takes the untouched SGD path. Binary
+    prototypes train through the straight-through estimator. epochs = 0
+    returns start's values unchanged.
 
     Checked once per call: the arguments, that the shard fits the prototype,
     and that the shard's inputs are finite and its labels in range. Checked
@@ -300,9 +305,8 @@ def client_local_update(
         raise ConfigError("batch_size must be >= 1")
     proto = start.prototype
     _check_fits(proto, shard, "shard")
-    anchor_values = (anchor if anchor is not None else start).values
     values = start.values.copy()
-    step = numerics._trainer(proto, values, numerics.OptimizerState.sgd(lr), prox_mu, anchor_values)
+    step = numerics._trainer(proto, values, numerics.OptimizerState.sgd(lr), prox_mu, start.values)
     n = len(shard)
     eye = np.eye(proto.n_classes)
     xs, ts = np.empty_like(shard.inputs), np.empty((n, proto.n_classes))
@@ -320,8 +324,7 @@ def _train_client(job: tuple[int, ParamVector, int], cfg=None, shards=None) -> n
     k, start, t = job
     cfg, shards = (cfg, shards) if cfg is not None else _SHARED
     model = client_local_update(  # FLConfig keeps prox_mu 0 outside fedprox
-        start, shards[k], cfg.local_epochs, cfg.local_lr, cfg.local_batch,
-        client_rng(cfg.seed, t, k), prox_mu=cfg.prox_mu, anchor=start,
+        start, shards[k], cfg.local_epochs, cfg.local_lr, cfg.local_batch, client_rng(cfg.seed, t, k), cfg.prox_mu
     )
     if start.prototype.precision == "binary_ste":  # clients transmit the binarized copy, not the master values
         return binarize_values(start.prototype, model.values)
@@ -449,7 +452,7 @@ def feddf_fuse(
     val_hits = (np.empty(len(val), dtype=np.intp), np.empty(len(val), dtype=bool))
 
     def score() -> float:
-        return _accuracy(_forward(student_proto, layers, val.inputs, False, val_out)[0], val, val_hits)
+        return _accuracy(_forward(student_proto, layers, val.inputs, val_out)[0], val, val_hits)
 
     def teacher_targets(x: np.ndarray) -> np.ndarray:
         q = numerics.softmax(ensemble_logits(teachers, x))

@@ -31,6 +31,7 @@ import numpy as np
 from ._errors import ConfigError, ShapeError
 from . import bound as bound_mod
 from .data import (
+    POOL_KINDS,
     Dataset,
     DistillPool,
     PartitionSpec,
@@ -41,6 +42,7 @@ from .data import (
     split_train_val,
 )
 from .flcore import (
+    DISTILLING,
     STRATEGIES,
     DistillConfig,
     FLConfig,
@@ -55,22 +57,6 @@ from .numerics import softmax
 
 SCHEMA_VERSION = 1
 OUTPUT_ENV_VAR = "FEDFUSION_OUTPUT_ROOT"
-
-__all__ = [
-    "SCHEMA_VERSION",
-    "OUTPUT_ENV_VAR",
-    "ExperimentConfig",
-    "load_experiment_config",
-    "rounds_to_target",
-    "decision_boundary_grid",
-    "save_boundary_grid",
-    "top1_accuracy",
-    "run_experiment",
-    "partition_report",
-    "load_bound_config",
-    "run_bound_suite",
-]
-
 
 def write_metrics(records: list[RoundRecord], path) -> None:
     with open(path, "w") as fh:
@@ -122,15 +108,20 @@ def decision_boundary_grid(
 
 def save_boundary_grid(xs: np.ndarray, ys: np.ndarray, probs: np.ndarray, path) -> None:
     """CSV with header x,y,p0..p{C-1}, rows in row-major grid order."""
-    res_y, res_x, classes = probs.shape
+    classes = probs.shape[2]
     header = ",".join(["x", "y"] + [f"p{c}" for c in range(classes)])
+    gx, gy = np.meshgrid(xs, ys)
+    rows = np.column_stack([gx.ravel(), gy.ravel(), probs.reshape(-1, classes)])
+    np.savetxt(path, rows, fmt="%.17g", delimiter=",", header=header, comments="")
+
+
+def _write_json(obj: dict, path: Path) -> dict:
+    """Write obj as a JSON artifact (sorted keys, indent 2, trailing newline); return obj."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for i in range(res_y):
-            for j in range(res_x):
-                cells = ["%.17g" % xs[j], "%.17g" % ys[i]]
-                cells += ["%.17g" % p for p in probs[i, j]]
-                fh.write(",".join(cells) + "\n")
+        json.dump(obj, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+    return obj
 
 
 # seed-derivation tags for per-seed data artifacts
@@ -142,7 +133,6 @@ def _derive_seed(seed: int, tag: int) -> int:
 
 
 _REQUIRED = object()
-_DISTILLING = ("feddf", "feddf_hetero")
 
 
 def _parse_bool(raw: str) -> bool:
@@ -297,7 +287,7 @@ _EXPERIMENT_SCHEMA = (
     _Key("distillation", "patience", int),
     _Key("distillation", "base_lr", float, 1e-3),
     _Key("distillation", "init_mode", str, "from_average"),
-    _Key("distillation", "pool", str, "heldout", _one_of("heldout", "uniform_noise", "gaussian_noise")),
+    _Key("distillation", "pool", str, "heldout", _one_of(*POOL_KINDS)),
     _Key("distillation", "pool_size", int, 256, _at_least(1)),
     _Key("distillation", "batch_size", int, 64),
     _Key("distillation", "noise_low", float, -3.0),
@@ -309,10 +299,7 @@ _EXPERIMENT_SCHEMA = (
 )
 _BOUND_SCHEMA = (
     _Key("bound", "instances", int, check=_at_least(1)),
-    _Key(
-        "bound", "family", str, "mixed",
-        _one_of("mixed", "thresholds_1d", "signed_thresholds_1d", "axis_stumps_2d"),
-    ),
+    _Key("bound", "family", str, "mixed", _one_of("mixed", *bound_mod.FAMILIES)),
     _Key("bound", "grid_size", int, 15, _at_least(1)),
     _Key("bound", "ref_size", int, 20000, _at_least(1)),
     _Key("bound", "delta", float, 0.05, _in_open_unit_interval),
@@ -371,7 +358,7 @@ class ExperimentConfig(SimpleNamespace):
     """
 
     def distills(self) -> bool:
-        return any(s in _DISTILLING for s in self.strategies)
+        return any(s in DISTILLING for s in self.strategies)
 
     def make_prototypes(self) -> list[Prototype]:
         return [
@@ -514,7 +501,7 @@ def _build_fl_config(
     """The arm's FLConfig, distillation pool included; built once per strategy at load too."""
     dim = cfg.prototypes[0][0]
     distill = None
-    if strategy in _DISTILLING:
+    if strategy in DISTILLING:
         keys = ("distillation.batch_size", "distillation.noise_low", "distillation.noise_high")
         # each pool kind reads only the arguments it needs
         args = dict(inputs=pool_inputs, dim=dim, low=cfg.noise_low, high=cfg.noise_high)
@@ -555,7 +542,7 @@ def centralized_reference(
     return top1_accuracy(trained, data.val), top1_accuracy(trained, data.test)
 
 
-def _final_test_metrics(cfg: ExperimentConfig, state: ServerState, test: Dataset) -> dict:
+def _final_test_metrics(state: ServerState, test: Dataset) -> dict:
     per_proto = {pid: top1_accuracy(p, test) for pid, p in sorted(state.params.items())}
     return {
         "test_acc_fused": float(np.mean(list(per_proto.values()))),
@@ -614,16 +601,13 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                 save_params(pv, run_dir / f"final_{pid}.params")
             if cfg.grid is not None:
                 lo, hi, res = cfg.grid
-                for pid, pv in sorted(state.params.items()):
-                    xs, ys, probs = decision_boundary_grid(pv, (lo, hi), res)
-                    save_boundary_grid(xs, ys, probs, run_dir / f"fused_grid_{pid}.csv")
+                grids = [(f"fused_grid_{pid}.csv", pv) for pid, pv in sorted(state.params.items())]
                 if capture and "averaged" in capture:
-                    xs, ys, probs = decision_boundary_grid(capture["averaged"], (lo, hi), res)
-                    save_boundary_grid(xs, ys, probs, run_dir / "averaged_grid.csv")
+                    grids.append(("averaged_grid.csv", capture["averaged"]))
                 if capture and cfg.grid_clients:
-                    for k, m in sorted(capture.get("client_models", {}).items()):
-                        xs, ys, probs = decision_boundary_grid(m, (lo, hi), res)
-                        save_boundary_grid(xs, ys, probs, run_dir / f"client{k}_grid.csv")
+                    grids += [(f"client{k}_grid.csv", m) for k, m in sorted(capture.get("client_models", {}).items())]
+                for name, model in grids:
+                    save_boundary_grid(*decision_boundary_grid(model, (lo, hi), res), run_dir / name)
             entry = {
                 "rounds_to_target": None if target is None else rounds_to_target(records, target),
                 "final_acc_averaged": records[-1].acc_averaged if records else None,
@@ -633,7 +617,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                 if records
                 else 0.0,
             }
-            entry.update(_final_test_metrics(cfg, state, data.test))
+            entry.update(_final_test_metrics(state, data.test))
             results[strategy][str(seed)] = entry
 
     aggregate = {}
@@ -655,14 +639,14 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         "results": results,
         "aggregate": aggregate,
     }
-    with open(root / "summary.json", "w") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    return summary
+    return _write_json(summary, root / "summary.json")
 
 
 def partition_report(cfg: ExperimentConfig, seed: int) -> dict:
-    """Shard sizes, class histograms, and label entropies for one seed's partition."""
+    """Shard sizes, class histograms, and label entropies for one seed's partition.
+
+    The report is also written to <output>/partition_stats_seed<k>.json.
+    """
     data = build_seed_data(cfg, seed)
     rows = []
     for k, shard in enumerate(data.shards):
@@ -675,7 +659,7 @@ def partition_report(cfg: ExperimentConfig, seed: int) -> dict:
                 "entropy": label_entropy(shard.labels, cfg.classes),
             }
         )
-    return {
+    report = {
         "schema_version": SCHEMA_VERSION,
         "seed": seed,
         "alpha": cfg.alpha,
@@ -685,6 +669,7 @@ def partition_report(cfg: ExperimentConfig, seed: int) -> dict:
         "mean_entropy": float(np.mean([r["entropy"] for r in rows])),
         "clients_detail": rows,
     }
+    return _write_json(report, resolve_output_root(cfg) / f"partition_stats_seed{seed}.json")
 
 
 class BoundSuiteConfig(SimpleNamespace):
@@ -697,8 +682,6 @@ def load_bound_config(path) -> BoundSuiteConfig:
 
 def run_bound_suite(cfg: BoundSuiteConfig) -> dict:
     """Evaluate the bound on seeded random instances; write reports + summary."""
-    root = resolve_output_root(cfg)
-    root.mkdir(parents=True, exist_ok=True)
     reports = []
     for i in range(cfg.instances):
         inst = bound_mod.make_bound_instance(
@@ -734,7 +717,4 @@ def run_bound_suite(cfg: BoundSuiteConfig) -> dict:
         "min_slack": min(r["slack"] for r in reports),
         "reports": reports,
     }
-    with open(root / "bound_reports.json", "w") as fh:
-        json.dump(out, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    return out
+    return _write_json(out, resolve_output_root(cfg) / "bound_reports.json")

@@ -143,14 +143,14 @@ def binarize_values(proto: Prototype, values: np.ndarray) -> np.ndarray:
 
 
 def forward_cached(
-    proto: Prototype, values: np.ndarray, inputs: np.ndarray, binarize: bool
+    proto: Prototype, values: np.ndarray, inputs: np.ndarray
 ) -> tuple[np.ndarray, tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]]:
     """Forward pass returning (logits, (layer_inputs, preactivations, effective_weights)).
 
     layer_inputs[l] is the input to layer l (layer_inputs[0] is the batch),
     preactivations[l] is the affine output of layer l before activation, and
     effective_weights[l] is the weight matrix the pass actually multiplied by
-    (binarized when requested). The caches are what a backward pass needs.
+    (binarized for binary_ste). The caches are what a backward pass needs.
     """
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != proto.n_inputs:
@@ -159,11 +159,11 @@ def forward_cached(
         )
     if not np.isfinite(x).all():
         raise ValueError("inputs contain non-finite values")
-    return _forward(proto, unflatten(proto, values), x, binarize)
+    return _forward(proto, unflatten(proto, values), x)
 
 
 def _forward(
-    proto: Prototype, layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray, binarize: bool, out=None
+    proto: Prototype, layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray, out=None
 ) -> tuple[np.ndarray, tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]]:
     """forward_cached without its checks, over per-layer (W, b) views of unflatten.
 
@@ -171,6 +171,7 @@ def _forward(
     given, holds per-layer (preactivation, activation) buffers of shape
     (batch, layer width) that the pass writes into instead of allocating.
     """
+    binarize = proto.precision == "binary_ste"  # the precision rule's one home
     layer_inputs = [x]
     preacts: list[np.ndarray] = []
     eff_weights: list[np.ndarray] = []
@@ -192,8 +193,7 @@ def _forward(
 
 def predict_logits(params: ParamVector, inputs: np.ndarray) -> np.ndarray:
     """Logits for a batch, honoring the prototype's precision."""
-    binarize = params.prototype.precision == "binary_ste"
-    logits, _ = forward_cached(params.prototype, params.values, inputs, binarize)
+    logits, _ = forward_cached(params.prototype, params.values, inputs)
     return logits
 
 

@@ -2,10 +2,11 @@
 
 Everything is float64. Probability-vector arguments must be normalized
 (checked to 1e-8) and non-negative; non-finite inputs raise instead of
-propagating. The gradient engine follows prototype precision: a binary_ste
-prototype's forward pass uses binarized weights and the backward pass treats
-binarization as identity (straight-through estimator), so the gradient
-applies directly to the full-precision master values.
+propagating. The gradient engine follows prototype precision, which the
+forward kernel reads from the prototype: a binary_ste prototype's forward
+pass uses binarized weights and the backward pass treats binarization as
+identity (straight-through estimator), so the gradient applies directly to
+the full-precision master values.
 
 Checks live at the public entry points: grad, opt_step, and flcore's two
 training loops, client_local_update and feddf_fuse, which check their fixed
@@ -137,9 +138,6 @@ class OptimizerState:
         n_params: int,
         schedule: str = "constant",
         total_steps: int | None = None,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
     ) -> "OptimizerState":
         return OptimizerState(
             kind="adam",
@@ -148,9 +146,6 @@ class OptimizerState:
             total_steps=total_steps,
             m=np.zeros(n_params, dtype=np.float64),
             v=np.zeros(n_params, dtype=np.float64),
-            beta1=beta1,
-            beta2=beta2,
-            eps=eps,
         )
 
 
@@ -247,8 +242,7 @@ def grad(
     the distillation objective; target rows must be normalized probabilities.
     """
     proto = params.prototype
-    binarize = proto.precision == "binary_ste"
-    logits, caches = forward_cached(proto, params.values, inputs, binarize)
+    logits, caches = forward_cached(proto, params.values, inputs)
     batch = logits.shape[0]
     if batch == 0:
         raise ShapeError("grad needs a non-empty batch")
@@ -282,7 +276,7 @@ def _trainer(proto, values: np.ndarray, state: OptimizerState, prox_mu=0.0, anch
     the module docstring). The caller vouches for x and target.
     """
     layers, g = unflatten(proto, values), np.empty_like(values)
-    grads, binarize = unflatten(proto, g), proto.precision == "binary_ste"
+    grads = unflatten(proto, g)
     scratch = (np.empty_like(values), np.empty_like(values))
     buffers = {}
 
@@ -293,7 +287,7 @@ def _trainer(proto, values: np.ndarray, state: OptimizerState, prox_mu=0.0, anch
             pairs = [(np.empty((batch, w)), np.empty((batch, w))) for w in widths]
             buffers[batch] = (pairs, [np.empty((batch, w)) for w in widths[:-1]], np.empty((batch, 1)))
         out, da, col = buffers[batch]
-        logits, caches = _forward(proto, layers, x, binarize, out)
+        logits, caches = _forward(proto, layers, x, out)
         probs = softmax(logits, out=logits, col=col)
         _backward(proto, caches, _dlogits(probs, target), grads, da)
         if prox_mu != 0.0:

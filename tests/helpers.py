@@ -46,7 +46,7 @@ def random_case(rng: np.random.Generator):
         inputs = rng.normal(size=(batch, n_in))
         if activation != "relu":
             break
-        _, (_, preacts, _) = forward_cached(proto, params.values, inputs, binarize=False)
+        _, (_, preacts, _) = forward_cached(proto, params.values, inputs)
         if min(np.abs(z).min() for z in preacts[:-1]) > 1e-3:
             break
     labels = rng.integers(0, n_classes, size=batch)

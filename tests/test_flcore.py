@@ -96,6 +96,18 @@ def test_sample_clients_count_sorted_unique():
     assert not np.array_equal(ids, other_round)
 
 
+def test_sample_clients_count_is_the_exact_ceiling():
+    """participation k/100 of n clients samples ceil(k * n / 100), even where the float
+    product lands just above an integer (0.55 * 100 == 55.00000000000001)."""
+    wrong = [
+        (k, n)
+        for k in range(1, 101)
+        for n in range(1, 101)
+        if len(sample_clients(n, k / 100, sampling_rng(0, 1))) != -(-k * n // 100)
+    ]
+    assert wrong == []
+
+
 def test_sample_clients_validation():
     with pytest.raises(ConfigError):
         sample_clients(0, 0.5, sampling_rng(0, 1))
@@ -147,7 +159,7 @@ def test_local_update_determinism():
     assert np.array_equal(a.values, b.values)
 
 
-def reference_local_update(start, shard, epochs, lr, batch_size, rng, prox_mu, anchor):
+def reference_local_update(start, shard, epochs, lr, batch_size, rng, prox_mu):
     """client_local_update written with the public numerics.grad and opt_step."""
     params = start.copy()
     state = numerics.OptimizerState.sgd(lr)
@@ -157,7 +169,7 @@ def reference_local_update(start, shard, epochs, lr, batch_size, rng, prox_mu, a
             sel = order[lo : lo + batch_size]
             g = numerics.grad("ce", params, shard.inputs[sel], labels=shard.labels[sel])
             if prox_mu != 0.0:
-                g = g + prox_mu * (params.values - anchor.values)
+                g = g + prox_mu * (params.values - start.values)
             params, state = numerics.opt_step(state, params, g)
     return params
 
@@ -173,9 +185,8 @@ def test_local_update_equals_grad_and_opt_step_loop_bitwise(widths, rows, batch,
     shard = ff.Dataset(rng.normal(size=(rows, widths[0])), rng.integers(0, widths[-1], rows), widths[-1])
     proto = Prototype("m", widths, activation, precision)
     start = init_params(proto, 3)
-    anchor = init_params(proto, 4)
-    out = client_local_update(start, shard, 3, 0.05, batch, np.random.default_rng(9), mu, anchor)
-    ref = reference_local_update(start, shard, 3, 0.05, batch, np.random.default_rng(9), mu, anchor)
+    out = client_local_update(start, shard, 3, 0.05, batch, np.random.default_rng(9), mu)
+    ref = reference_local_update(start, shard, 3, 0.05, batch, np.random.default_rng(9), mu)
     assert np.array_equal(out.values, ref.values)
     assert out.prototype == proto
 
@@ -205,9 +216,8 @@ def test_local_update_equals_the_reference_loop_on_random_shapes(shape, batch, f
     classes = proto.n_classes
     shard = ff.Dataset(rng.normal(size=(rows, 2)), rng.integers(0, classes, rows), classes)
     start = ParamVector(proto, rng.normal(scale=0.5, size=proto.n_params))
-    anchor = ParamVector(proto, rng.normal(scale=0.5, size=proto.n_params))
-    out = client_local_update(start, shard, 3, 0.05, batch, np.random.default_rng(seed), mu, anchor)
-    ref = reference_local_update(start, shard, 3, 0.05, batch, np.random.default_rng(seed), mu, anchor)
+    out = client_local_update(start, shard, 3, 0.05, batch, np.random.default_rng(seed), mu)
+    ref = reference_local_update(start, shard, 3, 0.05, batch, np.random.default_rng(seed), mu)
     assert np.array_equal(out.values, ref.values)
 
 

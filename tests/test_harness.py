@@ -12,6 +12,7 @@ import pytest
 
 from fedfusion._errors import ConfigError, ShapeError
 from fedfusion.cli import main as cli_main
+from fedfusion.data import Dataset, save_dataset
 from fedfusion.harness import (
     OUTPUT_ENV_VAR,
     SCHEMA_VERSION,
@@ -218,6 +219,25 @@ class TestDecisionBoundaryGrid:
         assert second[0] == xs[1] and second[1] == ys[0]
         # %.17g roundtrips float64 exactly
         assert first[2:] == [float(p) for p in probs[0, 0]]
+
+    def test_dataset_and_grid_csv_bytes_are_pinned(self, tmp_path):
+        """Both CSV writers' exact text: %.17g floats (signed zero, a tiny exponent,
+        inexact decimals) and integer labels of two digits."""
+        ds = Dataset(np.array([[-0.0, 1e-300], [0.1, 1 / 3]]), np.array([10, 3]), 11)
+        save_dataset(ds, tmp_path / "ds.csv")
+        assert (tmp_path / "ds.csv").read_text() == (
+            "x0,x1,label\n-0,1e-300,10\n0.10000000000000001,0.33333333333333331,3\n"
+        )
+        xs, ys = np.array([-0.0, 0.1]), np.array([1 / 3, 1e-300])
+        probs = np.array([[[1 / 3, 2 / 3], [0.1, 0.9]], [[-0.0, 1.0], [1e-300, 1 - 1e-300]]])
+        save_boundary_grid(xs, ys, probs, tmp_path / "grid.csv")
+        assert (tmp_path / "grid.csv").read_text() == (
+            "x,y,p0,p1\n"
+            "-0,0.33333333333333331,0.33333333333333331,0.66666666666666663\n"
+            "0.10000000000000001,0.33333333333333331,0.10000000000000001,0.90000000000000002\n"
+            "-0,1e-300,-0,1\n"
+            "0.10000000000000001,1e-300,1e-300,1\n"
+        )
 
 
 class TestSeedDerivation:
@@ -726,6 +746,14 @@ class TestCli:
             ("distillation", {"patience": "0"}, "distillation.patience"),
             ("distillation", {"max_steps": "-1"}, "distillation.max_steps"),
             ("distillation", {"init_mode": "bogus"}, "distillation.init_mode"),
+            ("federated", {"local_lr": "inf"}, "federated.local_lr"),
+            ("distillation", {"base_lr": "inf"}, "distillation.base_lr"),
+            ("federated", {"prox_mu": "inf", "strategies": "fedprox"}, "federated.prox_mu"),
+            (
+                "distillation",
+                {"pool": "uniform_noise", "noise_low": "-1e308", "noise_high": "1e308"},
+                "distillation.noise_low",
+            ),
         ],
     )
     def test_value_the_library_rejects_exits_one_at_load(self, tmp_path, capsys, section, changes, key):

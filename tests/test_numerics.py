@@ -312,7 +312,7 @@ def test_grad_matches_finite_differences_on_random_shapes(seed, n_in, hidden, n_
     inputs = rng.normal(size=(batch, n_in))
     if activation == "relu":
         # the finite-difference oracle is only valid away from the kink at 0
-        _, (_, preacts, _) = forward_cached(proto, params.values, inputs, binarize=False)
+        _, (_, preacts, _) = forward_cached(proto, params.values, inputs)
         assume(min(np.abs(z).min() for z in preacts[:-1]) > 1e-3)
     labels = rng.integers(0, n_classes, size=batch)
     target_probs = softmax(rng.normal(size=(batch, n_classes)))
