@@ -41,8 +41,15 @@ clients and _POOL_MIN_STEPS local steps (epochs * ceil(shard / batch), summed),
 the work that pays for a fork, run_training trains clients in a fork-context
 pool. Both paths run _train_client and read results in client-id order, so
 results and the first error are the serial loop's; a worker that dies fails the
-round, named for the lowest client whose result was lost. Smaller rounds, one CPU, no
-fork, a daemonic process or run_round alone train serially.
+round, named for the lowest client whose result was lost.
+
+A fusion scores step s on val while it trains step s+1, and if it stops at s it
+drops step s+1 and puts back the rng and heldout cursor it drew. From a student
+whose score costs _SCORE_MIN_WORK (len(val) * sum(fan_in * fan_out)), a scorer
+job in the same pool scores on the other core; smaller ones score in-process
+first. Both give the serial loop's results and errors; a dead scorer fails the
+round, named for its prototype. While the pool runs, OpenBLAS keeps one thread.
+One CPU, no fork, a daemonic process, or run_round or feddf_fuse alone fork nothing.
 """
 
 from __future__ import annotations
@@ -76,7 +83,8 @@ _CLIENT_STREAM = 2
 _POOL_STREAM = 3
 _INIT_STREAM = 4
 _POOL_MIN_STEPS = 256  # a round's local SGD steps that pay for forking workers
-_SHARED: list = []  # [cfg, shards] in a forked worker, set by the pool initializer
+_SCORE_MIN_WORK = 50_000  # len(val) * sum(fan_in * fan_out) of a student that pays for a forked scorer
+_SHARED: list = []  # [cfg, shards, val, block, ready, done] in a forked worker, set by the pool initializer
 
 
 def sampling_rng(seed: int, round_index: int) -> np.random.Generator:
@@ -322,7 +330,7 @@ def client_local_update(
 def _train_client(job: tuple[int, ParamVector, int], cfg=None, shards=None) -> np.ndarray:
     """Values client k sends in round t from start, job = (k, start, t); errors stay raw."""
     k, start, t = job
-    cfg, shards = (cfg, shards) if cfg is not None else _SHARED
+    cfg, shards = (cfg, shards) if cfg is not None else _SHARED[:2]
     model = client_local_update(  # FLConfig keeps prox_mu 0 outside fedprox
         start, shards[k], cfg.local_epochs, cfg.local_lr, cfg.local_batch, client_rng(cfg.seed, t, k), cfg.prox_mu
     )
@@ -331,30 +339,97 @@ def _train_client(job: tuple[int, ParamVector, int], cfg=None, shards=None) -> n
     return model.values
 
 
+def _scorer(proto: Prototype, val: Dataset, snapshot: np.ndarray):
+    """score(): top-1 accuracy on val of proto with the values in snapshot, through buffers made once."""
+    layers = unflatten(proto, snapshot)
+    out = [(np.empty((len(val), w)), np.empty((len(val), w))) for w in proto.layer_widths[1:]]
+    hits = (np.empty(len(val), dtype=np.intp), np.empty(len(val), dtype=bool))
+    return lambda: _accuracy(_forward(proto, layers, val.inputs, out)[0], val, hits)
+
+
+def _blas_threads(n: int) -> int:
+    """Set numpy's OpenBLAS thread count to n and return the old one; 0 if the BLAS has no such call."""
+    try:
+        import ctypes
+        from numpy._core import _multiarray_umath
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        old = lib.scipy_openblas_get_num_threads64_()
+        lib.scipy_openblas_set_num_threads64_(n)
+        return old
+    except (ImportError, OSError, AttributeError):
+        return 0
+
+
+def _score_job(proto: Prototype) -> None:
+    """A forked scorer: each post scores the shared snapshot into block[1]; a post of -1 ends the job."""
+    _, _, val, block, ready, done = _SHARED
+    score, parent = _scorer(proto, val, block[8 : 8 + proto.n_params]), os.getppid()
+    while True:
+        while not ready.acquire(False):  # polled: waking from a blocking wait costs what the overlap saves
+            if os.getppid() != parent:  # the run is gone, and no pool will end this job
+                os._exit(1)
+        if block[0] < 0:
+            return
+        block[1] = score()
+        done.release()
+
+
 class _Workers:
-    """run_training's forked worker pool, made at the first round worth it; a dead worker breaks it."""
+    """run_training's forked worker pool, made at the first round or fusion worth it; a dead worker breaks it."""
     pool = None
 
-    def submit(self, jobs: list[tuple[int, ParamVector, int]], cfg: FLConfig, shards: list[Dataset]) -> list | None:
-        """Result getters in job order, jobs sent largest shard first; None: train serially."""
-        steps = sum(cfg.local_epochs * -(-len(shards[k]) // cfg.local_batch) for k, _, _ in jobs)
+    def __init__(self, cfg: FLConfig, shards: list[Dataset], val: Dataset, prototypes: list[Prototype]) -> None:
+        self.cfg, self.shards, self.val, self.size = cfg, shards, val, max(p.n_params for p in prototypes)
+
+    def _fork(self, n: int) -> bool:
+        """Whether the pool runs; forks it with min(cpus, n) workers given 2+ CPUs, fork and no daemon."""
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-        if len(jobs) < 2 or steps < _POOL_MIN_STEPS or cpus < 2:
-            return None
-        if self.pool is None:
+        if self.pool is None and cpus >= 2:
             import multiprocessing
-            if "fork" not in multiprocessing.get_all_start_methods() or multiprocessing.current_process().daemon:
-                return None
-            from concurrent.futures import ProcessPoolExecutor
-            fork = multiprocessing.get_context("fork")  # a worker that dies fails the pending jobs: BrokenProcessPool
-            self.pool = ProcessPoolExecutor(min(cpus, len(jobs)), fork, _SHARED.extend, ([cfg, shards],))
+            if "fork" in multiprocessing.get_all_start_methods() and not multiprocessing.current_process().daemon:
+                import mmap
+                from concurrent.futures import ProcessPoolExecutor
+                fork = multiprocessing.get_context("fork")  # a worker that dies fails the pending jobs: BrokenProcessPool
+                self.block = np.frombuffer(mmap.mmap(-1, 8 * (8 + self.size)))  # command, accuracy, 6 unused, snapshot
+                self.ready, self.done = fork.Semaphore(0), fork.Semaphore(0)
+                self.threads = _blas_threads(1)  # a second BLAS thread would fight the workers for their core
+                shared = [self.cfg, self.shards, self.val, self.block, self.ready, self.done]
+                self.pool = ProcessPoolExecutor(min(cpus, n), fork, _SHARED.extend, (shared,))
+        return self.pool is not None
+
+    def submit(self, jobs: list[tuple[int, ParamVector, int]]) -> list | None:
+        """Result getters in job order, jobs sent largest shard first; None: train serially."""
+        cfg, shards = self.cfg, self.shards
+        steps = sum(cfg.local_epochs * -(-len(shards[k]) // cfg.local_batch) for k, _, _ in jobs)
+        if len(jobs) < 2 or steps < _POOL_MIN_STEPS or not self._fork(len(jobs)):
+            return None
         by_size = sorted(jobs, key=lambda j: -len(shards[j[0]]))
         pending = {j[0]: self.pool.submit(_train_client, j) for j in by_size}
         return [pending[k].result for k, _, _ in jobs]
 
+    def start_scorer(self, proto: Prototype) -> bool:
+        """Start a scorer job for a fusion of proto if its validation pass pays for it; False: score in-process."""
+        w = proto.layer_widths
+        if len(self.val) * sum(a * b for a, b in zip(w, w[1:])) < _SCORE_MIN_WORK or not self._fork(2):
+            return False
+        self.job = self.pool.submit(_score_job, proto)
+        return True
+
+    def post(self, command: float = 1.0) -> None:  # -1 ends the scorer job
+        self.block[0] = command
+        self.ready.release()
+
+    def wait(self) -> float:
+        """The score of the last post, polled; a scorer that died raises BrokenProcessPool."""
+        while not self.done.acquire(False):
+            if self.job.done():
+                raise self.job.exception() or RuntimeError("the scorer job ended early")
+        return float(self.block[1])
+
     def close(self) -> None:
         if self.pool is not None:
             self.pool.shutdown(cancel_futures=True)  # joins every worker, also after one died
+            _blas_threads(self.threads)
 
 
 def _kept_indices(accs: list[float], threshold: float | None) -> list[int]:
@@ -403,6 +478,7 @@ def feddf_fuse(
     val: Dataset,
     rng: np.random.Generator,
     cursor: tuple = (None, 0),
+    _workers: _Workers | None = None,
 ) -> tuple[ParamVector, int, tuple]:
     """Distill the teachers' averaged logits into a student started at init.
 
@@ -429,9 +505,11 @@ def feddf_fuse(
     the heldout rows (by the teachers' checked forward) and cached targets
     (finite, non-negative, rows summing to 1). A noise batch's rows and
     targets are checked per batch; every step checks the student's logits
-    and gradient (numerics._trainer). The student trains in place and is
-    scored through models._forward; the result equals a loop of
-    numerics.grad, numerics.opt_step and top1_accuracy bitwise.
+    and gradient (numerics._trainer). The student trains in place; a copy
+    of each step is scored through models._forward, by a forked job when
+    run_training's _workers has one for this student, while the next step
+    trains (see the module docstring). The result, steps, cursor and rng
+    state equal a loop of numerics.grad, numerics.opt_step and top1_accuracy.
     """
     if not teachers:
         raise ValueError("feddf_fuse needs at least one teacher")
@@ -447,44 +525,60 @@ def feddf_fuse(
     )
     values = init.values.copy()
     step = numerics._trainer(student_proto, values, opt)
-    layers = unflatten(student_proto, values)
-    val_out = [(np.empty((len(val), w)), np.empty((len(val), w))) for w in student_proto.layer_widths[1:]]
-    val_hits = (np.empty(len(val), dtype=np.intp), np.empty(len(val), dtype=bool))
-
-    def score() -> float:
-        return _accuracy(_forward(student_proto, layers, val.inputs, val_out)[0], val, val_hits)
 
     def teacher_targets(x: np.ndarray) -> np.ndarray:
         q = numerics.softmax(ensemble_logits(teachers, x))
         return numerics._check_probs(q, "teacher targets", (x.shape[0], proto.n_classes))
 
-    best_values = init.values.copy()
-    best_acc = score()
-    best_step = 0
-    steps = 0
     pool = cfg.pool
     if pool.kind == "heldout":
         pool_targets = teacher_targets(pool.inputs)
         batch = np.empty((pool.batch_size, proto.n_inputs))
         targets = np.empty((pool.batch_size, proto.n_classes))
-    for _ in range(cfg.max_steps):
+
+    def advance() -> None:  # draw the next batch and train one step on it
+        nonlocal cursor
         if pool.kind == "heldout":
             rows, cursor = sample_distill_rows(pool, rng, cursor)  # in range, as a local-SGD epoch's order
             np.take(pool.inputs, rows, axis=0, out=batch, mode="clip")
             np.take(pool_targets, rows, axis=0, out=targets, mode="clip")
+            step(batch, targets)
         else:
-            batch = sample_distill_batch(pool, rng)
-            targets = teacher_targets(batch)
-        step(batch, targets)
-        steps += 1
-        acc = score()
-        if acc > best_acc:
-            best_acc = acc
-            best_values = values.copy()
-            best_step = steps
-        if steps - best_step >= cfg.patience:
-            break
-    return ParamVector(proto, best_values), steps, cursor
+            x = sample_distill_batch(pool, rng)
+            step(x, teacher_targets(x))
+
+    piped = _workers is not None and _workers.start_scorer(student_proto)  # after the targets: the scorer spins
+    snapshot = _workers.block[8 : 8 + len(values)] if piped else np.empty_like(values)
+    try:
+        score = _scorer(student_proto, val, snapshot)
+        snapshot[:] = values
+        best_values, best_acc, best_step = init.values.copy(), score(), 0
+        advance()
+        for s in range(1, cfg.max_steps + 1):  # step s is trained; it is scored while step s+1 trains
+            snapshot[:] = values
+            acc = _workers.post() if piped else score()  # piped, the score comes from wait() below
+            error = None
+            if s - best_step >= cfg.patience:  # the fusion stops at s unless s scores a new best
+                saved = (rng.bit_generator.state, cursor)
+            if s < cfg.max_steps:
+                try:
+                    advance()
+                except Exception as e:  # raised below unless the fusion stops at s
+                    error = e
+            if piped:
+                acc = _workers.wait()
+            if acc > best_acc:
+                best_acc, best_values, best_step = acc, snapshot.copy(), s
+            if s - best_step >= cfg.patience:
+                rng.bit_generator.state, cursor = saved  # undo step s+1's draws
+                break
+            if error is not None:
+                raise error
+    finally:
+        if piped:
+            _workers.post(-1.0)
+            _workers.job.result()
+    return ParamVector(proto, best_values), s, cursor
 
 
 def run_round(
@@ -530,7 +624,7 @@ def run_round(
     t = state.round_index + 1
     ids = sample_clients(cfg.client_count, cfg.participation, sampling_rng(cfg.seed, t))
     jobs = [(k, state.params[client_prototypes[k]], t) for k in ids.tolist()]
-    pooled = _workers.submit(jobs, cfg, shards) if _workers is not None else None
+    pooled = _workers.submit(jobs) if _workers is not None else None
     trained = []
     for i, job in enumerate(jobs):  # results in client-id order: the lowest failing client raises
         try:
@@ -564,7 +658,10 @@ def run_round(
             velocity[pid] = beta * v_prev + (x_prev.values - avg.values)
         elif cfg.distill is not None:  # feddf, feddf_hetero
             init = avg if cfg.distill.init_mode == "from_average" else x_prev
-            new, steps, cursor = feddf_fuse(kept_models, init, cfg.distill, val, prng, cursor)
+            try:
+                new, steps, cursor = feddf_fuse(kept_models, init, cfg.distill, val, prng, cursor, _workers)
+            except (ValueError, RuntimeError) as e:  # a diverging student; BrokenProcessPool
+                raise type(e)(f"round {t}, prototype {pid}: {e}") from e
             distill_steps = max(distill_steps, steps)
         else:  # fedavg, fedprox
             new = avg
@@ -607,7 +704,7 @@ def run_training(
     """
     state = ServerState.initialize(prototypes, cfg.seed)
     records: list[RoundRecord] = []
-    workers = _Workers()
+    workers = _Workers(cfg, shards, val, prototypes)
     try:
         for r in range(cfg.rounds):
             cap = capture_final if r == cfg.rounds - 1 else None

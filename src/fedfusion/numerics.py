@@ -121,8 +121,8 @@ class OptimizerState:
     def __post_init__(self) -> None:
         if self.kind not in ("sgd", "adam"):
             raise ValueError(f"optimizer kind must be 'sgd' or 'adam', got {self.kind!r}")
-        if not self.base_lr > 0:
-            raise ValueError("base_lr must be positive")
+        if not 0 < self.base_lr < np.inf:
+            raise ValueError("base_lr must be finite and positive")
         if self.schedule not in ("constant", "cosine"):
             raise ValueError(f"schedule must be 'constant' or 'cosine', got {self.schedule!r}")
         if self.schedule == "cosine" and (self.total_steps is None or self.total_steps < 1):

@@ -74,8 +74,8 @@ def pooled_rounds(monkeypatch):
     pooled = []
     submit = flcore._Workers.submit
 
-    def spy(self, jobs, cfg, shards):
-        getters = submit(self, jobs, cfg, shards)
+    def spy(self, jobs):
+        getters = submit(self, jobs)
         pooled.append(getters is not None)
         return getters
 
@@ -149,6 +149,17 @@ def test_local_update_full_batch_equals_plain_gradient_step():
     out = client_local_update(start, ds, 1, 0.1, len(ds), np.random.default_rng(7))
     manual = start.values - 0.1 * numerics.grad("ce", start, ds.inputs, ds.labels)
     assert np.abs(out.values - manual).max() < 1e-12
+
+
+@pytest.mark.filterwarnings("error")  # no step runs, so numpy never warns
+def test_an_infinite_learning_rate_is_refused_before_any_step():
+    _, _, shards, proto = small_task()
+    with pytest.raises(ValueError, match="^base_lr must be finite and positive$"):
+        numerics.OptimizerState.sgd(float("inf"))
+    with pytest.raises(ValueError, match="^base_lr must be finite and positive$"):
+        numerics.OptimizerState.adam(float("inf"), 4)
+    with pytest.raises(ValueError, match="^base_lr must be finite and positive$"):
+        client_local_update(init_params(proto, 0), shards[0], 1, float("inf"), 8, np.random.default_rng(0))
 
 
 def test_local_update_determinism():
@@ -436,13 +447,100 @@ FUSION_CASES = [
 @pytest.mark.parametrize("pool_kind, activation, precision, init_mode, max_steps, patience", FUSION_CASES)
 def test_feddf_fuse_equals_grad_opt_step_loop_bitwise(pool_kind, activation, precision, init_mode, max_steps, patience):
     teachers, init, cfg, val = fusion_case(pool_kind, activation, precision, init_mode, max_steps, patience)
-    fused, steps, cursor = feddf_fuse(teachers, init, cfg, val, np.random.default_rng(8))
-    ref, ref_steps, ref_cursor = reference_fuse(teachers, init, cfg, val, np.random.default_rng(8))
+    rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+    fused, steps, cursor = feddf_fuse(teachers, init, cfg, val, rng)
+    ref, ref_steps, ref_cursor = reference_fuse(teachers, init, cfg, val, ref_rng)
     assert steps == ref_steps
     assert same_cursor(cursor, ref_cursor) and (cursor[0] is None) == (pool_kind != "heldout")
     assert steps == max_steps if patience == max_steps else steps < max_steps
     assert fused.prototype == ref.prototype == init.prototype
     assert np.array_equal(fused.values, ref.values)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state  # the look-ahead step's draws are undone
+
+
+@pytest.fixture
+def scorer_workers(monkeypatch):
+    """make(val, prototypes): a _Workers that scores every fusion in a forked job, on any host."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(flcore, "_SCORE_MIN_WORK", 0)
+    made = []
+
+    def make(val, prototypes):
+        made.append(flcore._Workers(small_cfg("fedavg"), [], val, prototypes))
+        return made[-1]
+
+    yield make
+    for workers in made:
+        workers.close()
+    assert multiprocessing.active_children() == []
+
+
+def pipelined_and_serial_fuse(workers, teachers, init, cfg, val, seed):
+    """[(result, rng after)] of feddf_fuse with the forked scorer, without it, and of reference_fuse."""
+    rngs = [np.random.default_rng(seed) for _ in range(3)]
+    out = [
+        feddf_fuse(teachers, init, cfg, val, rngs[0], (None, 0), workers),
+        feddf_fuse(teachers, init, cfg, val, rngs[1]),
+        reference_fuse(teachers, init, cfg, val, rngs[2]),
+    ]
+    assert workers.job.done()  # the fusion was scored by the forked job
+    return list(zip(out, rngs))
+
+
+def assert_same_fusions(runs):
+    (fused, steps, cursor), rng = runs[0]
+    for (other, other_steps, other_cursor), other_rng in runs[1:]:
+        assert steps == other_steps and same_cursor(cursor, other_cursor)
+        assert fused.prototype == other.prototype and np.array_equal(fused.values, other.values)
+        assert rng.bit_generator.state == other_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("pool_kind, activation, precision, init_mode, max_steps, patience", FUSION_CASES)
+def test_pipelined_fusion_equals_the_serial_loop_bitwise(pool_kind, activation, precision, init_mode, max_steps, patience, scorer_workers):
+    teachers, init, cfg, val = fusion_case(pool_kind, activation, precision, init_mode, max_steps, patience)
+    runs = pipelined_and_serial_fuse(scorer_workers(val, [init.prototype]), teachers, init, cfg, val, 8)
+    assert_same_fusions(runs)
+    assert runs[0][0][1] == max_steps if patience == max_steps else runs[0][0][1] < max_steps
+
+
+@pytest.mark.parametrize("piped", [False, True], ids=["in_process", "pipelined"])
+def test_a_look_ahead_step_only_fails_a_fusion_that_would_run_it(piped, scorer_workers, monkeypatch):
+    teachers, init, cfg, val = fusion_case("heldout", "relu", "full", "from_average", 400, 5)
+    ref, ref_steps, ref_cursor = reference_fuse(teachers, init, cfg, val, np.random.default_rng(8))
+    assert ref_steps < cfg.max_steps  # a patience stop, so feddf_fuse trains step ref_steps + 1 ahead
+    workers = scorer_workers(val, [init.prototype]) if piped else None
+    trainer, fail_at = numerics._trainer, []
+
+    def failing_trainer(*args):
+        step, calls = trainer(*args), []
+
+        def counted(x, target):
+            calls.append(1)
+            if len(calls) == fail_at[0]:
+                raise ValueError("gradient contains non-finite values")
+            step(x, target)
+        return counted
+
+    monkeypatch.setattr(numerics, "_trainer", failing_trainer)
+    fail_at[:] = [ref_steps + 1]  # the step a serial loop never runs
+    fused, steps, cursor = feddf_fuse(teachers, init, cfg, val, np.random.default_rng(8), (None, 0), workers)
+    assert steps == ref_steps and same_cursor(cursor, ref_cursor) and np.array_equal(fused.values, ref.values)
+    fail_at[:] = [ref_steps]  # the last step the serial loop runs
+    with pytest.raises(ValueError, match="^gradient contains non-finite values$"):
+        feddf_fuse(teachers, init, cfg, val, np.random.default_rng(8), (None, 0), workers)
+
+
+def test_pipelined_fusion_undoes_a_look_ahead_reshuffle(scorer_workers):
+    """The fusion stops at a step whose discarded successor began a new epoch of the heldout pool."""
+    teachers, init, cfg, val = fusion_case("heldout", "relu", "full", "from_average", 400, 5)
+    rows, batch = len(cfg.pool.inputs), cfg.pool.batch_size
+    for seed in range(100):
+        _, steps, cursor = reference_fuse(teachers, init, cfg, val, np.random.default_rng(seed))
+        if steps < cfg.max_steps and cursor[1] + batch > rows:  # batch steps + 1 draws a permutation
+            break
+    else:
+        pytest.fail("no seed stops just before a reshuffle")
+    assert_same_fusions(pipelined_and_serial_fuse(scorer_workers(val, [init.prototype]), teachers, init, cfg, val, seed))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -602,6 +700,163 @@ def test_forked_clients_equal_the_serial_loop_bitwise(strategy, pooled_rounds):
         assert any(rec.dropped for rec in records)
 
 
+@pytest.mark.parametrize("clients_forked", [False, True], ids=["scorer_only", "with_clients"])
+@pytest.mark.parametrize("strategy", ["feddf", "feddf_heldout", "feddf_gaussian", "feddf_previous", "feddf_hetero"])
+def test_pipelined_fusions_equal_the_serial_loop_bitwise(strategy, clients_forked, pooled_rounds, monkeypatch):
+    monkeypatch.setattr(flcore, "_SCORE_MIN_WORK", 0)
+    piped = []
+    scorer = flcore._Workers.start_scorer
+    monkeypatch.setattr(flcore._Workers, "start_scorer", lambda self, proto: piped.append(scorer(self, proto)) or piped[-1])
+    _, val, shards, proto = small_task()
+    pool = {
+        "feddf_heldout": ff.DistillPool.heldout(np.random.default_rng(3).normal(size=(45, 2)), 16),
+        "feddf_gaussian": ff.DistillPool.gaussian_noise(2, 16),
+    }.get(strategy, uniform_pool())
+    mode = "from_previous" if strategy == "feddf_previous" else "from_average"
+    kw = dict(distill=DistillConfig(max_steps=20, patience=5, pool=pool, init_mode=mode))
+    prototypes, cmap = [proto], None
+    if strategy == "feddf_hetero":
+        prototypes = [Prototype("a", (2, 12, 3), "tanh", "binary_ste"), Prototype("b", (2, 8, 3))]
+        cmap, kw["drop_threshold"] = ["a", "b", "a", "b", "a"], 0.5
+    cfg = (over_gate_cfg if clients_forked else small_cfg)("feddf_hetero" if strategy == "feddf_hetero" else "feddf", **kw)
+    state, records = run_training(cfg, shards, val, prototypes, cmap)
+    assert piped and all(piped) and pooled_rounds == [clients_forked] * cfg.rounds
+    assert multiprocessing.active_children() == []
+    fusions = len(piped)
+    ref_state, ref_records, _ = serial_training(cfg, shards, val, prototypes, cmap)
+    assert len(piped) == fusions and len(pooled_rounds) == cfg.rounds  # the hand loop forked nothing
+    assert records == ref_records
+    assert {r.distill_steps for r in records} != {20}  # some fusions stop on patience
+    assert all(np.array_equal(state.params[p].values, ref_state.params[p].values) for p in state.params)
+    assert same_cursor(state.pool_cursor, ref_state.pool_cursor)
+
+
+PIPELINE_RUN = """
+import multiprocessing, os, time
+import fedfusion as ff
+from fedfusion import flcore
+
+full = ff.make_gaussian_blobs(3, 60, None, 0.5, seed=1000)
+train, val = ff.split_train_val(full, 0.2, seed=2000)
+shards = [train.subset(ix) for ix in ff.dirichlet_partition(train.labels, ff.PartitionSpec(1.0, 4, 3000))]
+proto = ff.Prototype("m", (2, 12, 3))
+os.sched_getaffinity = lambda pid: {0, 1}  # two usable CPUs on any host
+flcore._SCORE_MIN_WORK = 0  # every fusion is scored by a forked job
+
+
+def run(max_steps, base_lr=1e-3):
+    distill = flcore.DistillConfig(max_steps, max_steps, ff.DistillPool.uniform_noise(-3.0, 3.0, 2, 16), base_lr)
+    cfg = flcore.FLConfig(rounds=2, client_count=4, participation=1.0, local_epochs=2, local_lr=0.05,
+                          local_batch=8, strategy="feddf", distill=distill)
+    tic = time.perf_counter()
+    try:
+        flcore.run_training(cfg, shards, val, [proto])
+    except Exception as e:
+        return f"{time.perf_counter() - tic:.3f} {type(e).__name__} {e}"
+"""
+
+DEAD_SCORER_RUN = PIPELINE_RUN + """
+main, make_scorer = os.getpid(), flcore._scorer
+
+def dying_scorer(proto, val, snapshot):  # the forked scorer dies at its 50th score
+    score, calls = make_scorer(proto, val, snapshot), []
+
+    def counted():
+        calls.append(1)
+        if os.getpid() != main and len(calls) == 50:
+            os._exit(1)
+        return score()
+    return counted
+
+flcore._scorer = dying_scorer
+print(run(400))
+print("children", len(multiprocessing.active_children()))
+"""
+
+DIVERGING_STUDENT_RUN = PIPELINE_RUN + """
+piped = []
+scorer = flcore._Workers.start_scorer
+flcore._Workers.start_scorer = lambda self, proto: piped.append(scorer(self, proto)) or piped[-1]
+pipelined_error = run(30, base_lr=1e300)
+flcore._SCORE_MIN_WORK = float("inf")
+serial_error = run(30, base_lr=1e300)
+print(piped == [True, False], pipelined_error.split(" ", 1)[1] == serial_error.split(" ", 1)[1])
+print(pipelined_error)
+print("children", len(multiprocessing.active_children()))
+"""
+
+KILLED_RUN = PIPELINE_RUN + """
+score_job = flcore._score_job
+
+def announced_job(proto):
+    print("scorer", os.getpid(), flush=True)
+    score_job(proto)
+
+flcore._score_job = announced_job
+run(10**7)  # a fusion that outlasts the test
+"""
+
+
+def script_process(script: str) -> dict:
+    """subprocess arguments that run script in a fresh interpreter on this checkout's src."""
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
+    return dict(args=[sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path}, text=True)
+
+
+def test_a_dead_scorer_fails_the_round_naming_its_prototype():
+    proc = subprocess.run(**script_process(DEAD_SCORER_RUN), capture_output=True, timeout=60)  # a wait that never ends fails here
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    error, children = proc.stdout.splitlines()
+    seconds, kind, message = error.split(" ", 2)
+    assert kind == "BrokenProcessPool" and message.startswith("round 1, prototype m: ")
+    assert float(seconds) < 10.0
+    assert children == "children 0"
+
+
+def test_a_diverging_pipelined_student_raises_the_serial_error():
+    proc = subprocess.run(**script_process(DIVERGING_STUDENT_RUN), capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    same, error, children = proc.stdout.splitlines()
+    assert same == "True True"  # only the first run was pipelined; both raised the same error
+    _, kind, message = error.split(" ", 2)
+    assert kind == "ValueError" and message.startswith("round 1, prototype m: ") and "non-finite values" in message
+    assert children == "children 0"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads process states from /proc")
+def test_a_killed_run_takes_its_scorer_down():
+    import select
+    import signal
+    import time
+
+    def alive(pid):
+        try:
+            with open(f"/proc/{pid}/stat") as fh:
+                return fh.read().rsplit(")", 1)[1].split()[0] != "Z"  # an unreaped zombie has exited
+        except FileNotFoundError:
+            return False
+
+    proc = subprocess.Popen(**script_process(KILLED_RUN), stdout=subprocess.PIPE, start_new_session=True)
+    try:
+        assert select.select([proc.stdout], [], [], 60)[0], "the scorer never started"
+        word, pid = proc.stdout.readline().split()
+        assert word == "scorer" and alive(int(pid))
+        time.sleep(0.2)  # mid-fusion
+        proc.kill()
+        proc.wait(10)
+        deadline = time.monotonic() + 5.0
+        while alive(int(pid)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not alive(int(pid))
+    finally:
+        proc.stdout.close()
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)  # the run's idle worker, if any is left
+        except ProcessLookupError:
+            pass
+
+
 DEAD_WORKER_RUN = """
 import multiprocessing, os, time
 import fedfusion as ff
@@ -631,11 +886,8 @@ print("children", len(multiprocessing.active_children()))
 
 
 def test_a_dead_worker_fails_the_round_naming_its_client():
-    root = Path(__file__).resolve().parents[1]
-    path = os.pathsep.join(p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(  # a child process, so a pool that waits forever fails here instead of hanging
-        [sys.executable, "-c", DEAD_WORKER_RUN], env={**os.environ, "PYTHONPATH": path},
-        capture_output=True, text=True, timeout=60,
+        **script_process(DEAD_WORKER_RUN), capture_output=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     error, children = proc.stdout.splitlines()
@@ -649,15 +901,36 @@ def _refuse_pool(*args, **kwargs):
     raise AssertionError("a worker pool was made")
 
 
-@pytest.mark.parametrize("case", ["one_cpu", "below_gate", "daemonic", "run_round_alone"])
-def test_rounds_that_do_not_pay_for_workers_never_fork(case, pooled_rounds, monkeypatch):
+def readme_task():
+    """The README config's shapes: 90 validation rows, 8 clients at alpha 0.1, a 2-32-3 student."""
+    full = ff.make_gaussian_blobs(3, 150, None, 0.6, seed=7)
+    train, val = ff.split_train_val(full, 0.2, seed=8)
+    shards = [train.subset(ix) for ix in ff.dirichlet_partition(train.labels, ff.PartitionSpec(0.1, 8, 9))]
+    pool = ff.DistillPool.heldout(ff.make_gaussian_blobs(3, 86, None, 0.6, seed=10).inputs[:256], 64)
+    cfg = FLConfig(rounds=2, client_count=8, participation=0.5, local_epochs=10, local_lr=0.05, local_batch=32,
+                   strategy="feddf", distill=DistillConfig(max_steps=200, patience=60, pool=pool))
+    return cfg, shards, val, Prototype("p0", (2, 32, 3))
+
+
+@pytest.mark.parametrize(
+    "case, strategy",
+    [pytest.param(c, s, id=c if s == "fedavg" else f"{c}_{s}") for s in ("fedavg", "feddf")
+     for c in ("one_cpu", "below_gate", "daemonic", "run_round_alone")] + [pytest.param("readme_feddf", "feddf", id="readme_feddf")],
+)
+def test_rounds_that_do_not_pay_for_workers_never_fork(case, strategy, pooled_rounds, monkeypatch):
     _, val, shards, proto = small_task()
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _refuse_pool)
     if case == "one_cpu":
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     if case == "daemonic":
         monkeypatch.setattr(multiprocessing, "current_process", lambda: SimpleNamespace(daemon=True))
-    cfg = small_cfg("fedavg") if case == "below_gate" else over_gate_cfg("fedavg")
+    kw = dict(distill=DistillConfig(max_steps=20, patience=5, pool=uniform_pool())) if strategy == "feddf" else {}
+    if case in ("one_cpu", "daemonic", "run_round_alone"):  # fusions that a forked job would score but for the case
+        monkeypatch.setattr(flcore, "_SCORE_MIN_WORK", 0)
+    cfg = small_cfg(strategy, **kw) if case == "below_gate" else over_gate_cfg(strategy, **kw)
+    if case == "readme_feddf":
+        cfg, shards, val, proto = readme_task()
+        assert len(val) == 90 and len(val) * (2 * 32 + 32 * 3) < flcore._SCORE_MIN_WORK
     if case == "run_round_alone":
         run_round(ServerState.initialize([proto], cfg.seed), cfg, shards, val)
     else:
