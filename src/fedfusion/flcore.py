@@ -43,17 +43,18 @@ pool. Both paths run _train_client and read results in client-id order, so
 results and the first error are the serial loop's; a worker that dies fails the
 round, named for the lowest client whose result was lost.
 
-A fusion scores step s on val while it trains step s+1, and if it stops at s it
-drops step s+1 and puts back the rng and heldout cursor it drew. From a student
-whose score costs _SCORE_MIN_WORK (len(val) * sum(fan_in * fan_out)), a scorer
-job in the same pool scores on the other core; smaller ones score in-process
-first. Both give the serial loop's results and errors; a dead scorer fails the
-round, named for its prototype. While the pool runs, OpenBLAS keeps one thread.
+From a student whose score costs _SCORE_MIN_WORK (len(val) * sum(fan_in *
+fan_out)), a scorer job in the same pool scores each step on the other core,
+while the fusion trains the next step if that step runs whatever the score is;
+smaller students score in-process. Both give the serial loop's steps, results
+and errors; a dead scorer fails the round, named for its prototype. While the
+pool runs, OpenBLAS keeps one thread; on Linux its workers die with the run.
 One CPU, no fork, a daemonic process, or run_round or feddf_fuse alone fork nothing.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -84,7 +85,7 @@ _POOL_STREAM = 3
 _INIT_STREAM = 4
 _POOL_MIN_STEPS = 256  # a round's local SGD steps that pay for forking workers
 _SCORE_MIN_WORK = 50_000  # len(val) * sum(fan_in * fan_out) of a student that pays for a forked scorer
-_SHARED: list = []  # [cfg, shards, val, block, ready, done] in a forked worker, set by the pool initializer
+_SHARED: list = []  # [cfg, shards, val, block, ready, done] in a forked worker, set by _join_run
 
 
 def sampling_rng(seed: int, round_index: int) -> np.random.Generator:
@@ -350,7 +351,6 @@ def _scorer(proto: Prototype, val: Dataset, snapshot: np.ndarray):
 def _blas_threads(n: int) -> int:
     """Set numpy's OpenBLAS thread count to n and return the old one; 0 if the BLAS has no such call."""
     try:
-        import ctypes
         from numpy._core import _multiarray_umath
         lib = ctypes.CDLL(_multiarray_umath.__file__)
         old = lib.scipy_openblas_get_num_threads64_()
@@ -360,13 +360,21 @@ def _blas_threads(n: int) -> int:
         return 0
 
 
+def _join_run(parent: int, shared: list) -> None:
+    """Pool initializer: keep the run's shared state; on Linux, die with parent, the run's process."""
+    _SHARED.extend(shared)
+    getattr(ctypes.CDLL(None), "prctl", lambda *args: 0)(1, ctypes.c_ulong(9))  # PR_SET_PDEATHSIG, SIGKILL
+    if os.getppid() != parent:  # the run died before the call
+        os._exit(1)
+
+
 def _score_job(proto: Prototype) -> None:
     """A forked scorer: each post scores the shared snapshot into block[1]; a post of -1 ends the job."""
     _, _, val, block, ready, done = _SHARED
     score, parent = _scorer(proto, val, block[8 : 8 + proto.n_params]), os.getppid()
     while True:
         while not ready.acquire(False):  # polled: waking from a blocking wait costs what the overlap saves
-            if os.getppid() != parent:  # the run is gone, and no pool will end this job
+            if os.getppid() != parent:  # the run died unsignalled (no prctl); on Linux the syscall paces the poll
                 os._exit(1)
         if block[0] < 0:
             return
@@ -394,7 +402,7 @@ class _Workers:
                 self.ready, self.done = fork.Semaphore(0), fork.Semaphore(0)
                 self.threads = _blas_threads(1)  # a second BLAS thread would fight the workers for their core
                 shared = [self.cfg, self.shards, self.val, self.block, self.ready, self.done]
-                self.pool = ProcessPoolExecutor(min(cpus, n), fork, _SHARED.extend, (shared,))
+                self.pool = ProcessPoolExecutor(min(cpus, n), fork, _join_run, (os.getpid(), shared))
         return self.pool is not None
 
     def submit(self, jobs: list[tuple[int, ParamVector, int]]) -> list | None:
@@ -433,12 +441,8 @@ class _Workers:
 
 
 def _kept_indices(accs: list[float], threshold: float | None) -> list[int]:
-    if threshold is None:
-        return list(range(len(accs)))
-    kept = [i for i, a in enumerate(accs) if a > threshold]
-    if not kept:
-        kept = [int(np.argmax(accs))]
-    return kept
+    kept = [i for i, a in enumerate(accs) if threshold is None or a > threshold]
+    return kept or [int(np.argmax(accs))]  # all at or below the threshold: the best one
 
 
 def drop_worst(models: list[ParamVector], val: Dataset, threshold: float) -> list[ParamVector]:
@@ -507,9 +511,9 @@ def feddf_fuse(
     targets are checked per batch; every step checks the student's logits
     and gradient (numerics._trainer). The student trains in place; a copy
     of each step is scored through models._forward, by a forked job when
-    run_training's _workers has one for this student, while the next step
-    trains (see the module docstring). The result, steps, cursor and rng
-    state equal a loop of numerics.grad, numerics.opt_step and top1_accuracy.
+    run_training's _workers has one for this student (see the module
+    docstring). The steps trained, result, cursor, rng state and errors
+    equal a loop of numerics.grad, numerics.opt_step and top1_accuracy.
     """
     if not teachers:
         raise ValueError("feddf_fuse needs at least one teacher")
@@ -552,28 +556,23 @@ def feddf_fuse(
     try:
         score = _scorer(student_proto, val, snapshot)
         snapshot[:] = values
-        best_values, best_acc, best_step = init.values.copy(), score(), 0
-        advance()
-        for s in range(1, cfg.max_steps + 1):  # step s is trained; it is scored while step s+1 trains
+        best_values, best_acc, best_step, ahead = init.values.copy(), score(), 0, False
+        for s in range(1, cfg.max_steps + 1):
+            if not ahead:  # step s was not trained while step s-1 was scored
+                advance()
             snapshot[:] = values
             acc = _workers.post() if piped else score()  # piped, the score comes from wait() below
-            error = None
-            if s - best_step >= cfg.patience:  # the fusion stops at s unless s scores a new best
-                saved = (rng.bit_generator.state, cursor)
-            if s < cfg.max_steps:
-                try:
+            ahead = s < cfg.max_steps and s - best_step < cfg.patience  # step s+1 runs whatever s scores
+            try:
+                if ahead:
                     advance()
-                except Exception as e:  # raised below unless the fusion stops at s
-                    error = e
-            if piped:
-                acc = _workers.wait()
+            finally:  # an error waits for the pending score: the scorer never sees -1 while a post is in flight
+                if piped:
+                    acc = _workers.wait()
             if acc > best_acc:
                 best_acc, best_values, best_step = acc, snapshot.copy(), s
             if s - best_step >= cfg.patience:
-                rng.bit_generator.state, cursor = saved  # undo step s+1's draws
                 break
-            if error is not None:
-                raise error
     finally:
         if piped:
             _workers.post(-1.0)

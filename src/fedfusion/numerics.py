@@ -33,6 +33,7 @@ from .models import ParamVector, _forward, forward_cached, unflatten
 
 _NORM_TOL = 1e-8
 _KL_FLOOR = 1e-12
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's constants
 
 
 def softmax(logits: np.ndarray, out: np.ndarray | None = None, col: np.ndarray | None = None) -> np.ndarray:
@@ -114,9 +115,7 @@ class OptimizerState:
     step_count: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    beta1, beta2, eps = _BETA1, _BETA2, _EPS  # class attributes, not fields: Adam's constants, for readers
 
     def __post_init__(self) -> None:
         if self.kind not in ("sgd", "adam"):
@@ -186,14 +185,14 @@ def _step_in_place(state: OptimizerState, values: np.ndarray, g: np.ndarray, scr
     if state.kind == "sgd":
         values -= np.multiply(lr, g, out=s)
     else:
-        state.m *= state.beta1
-        state.m += np.multiply(1.0 - state.beta1, g, out=s)
-        state.v *= state.beta2
-        state.v += np.multiply(np.multiply(1.0 - state.beta2, g, out=s), g, out=s)
-        m_hat = np.divide(state.m, 1.0 - state.beta1**t, out=s)
-        v_hat = np.divide(state.v, 1.0 - state.beta2**t, out=r)
+        state.m *= _BETA1
+        state.m += np.multiply(1.0 - _BETA1, g, out=s)
+        state.v *= _BETA2
+        state.v += np.multiply(np.multiply(1.0 - _BETA2, g, out=s), g, out=s)
+        m_hat = np.divide(state.m, 1.0 - _BETA1**t, out=s)
+        v_hat = np.divide(state.v, 1.0 - _BETA2**t, out=r)
         denom = np.sqrt(v_hat, out=r)
-        denom += state.eps
+        denom += _EPS
         values -= np.divide(np.multiply(lr, m_hat, out=s), denom, out=s)
     state.step_count = t
 

@@ -67,6 +67,13 @@ def over_gate_cfg(strategy, **kw):
     return cfg
 
 
+@pytest.fixture(autouse=True)
+def no_worker_outlives_its_test():
+    """A pool that outlives run_training or the scorer_workers fixture fails the test that made it."""
+    yield
+    assert multiprocessing.active_children() == []
+
+
 @pytest.fixture
 def pooled_rounds(monkeypatch):
     """Two usable CPUs on any host; returns, per round, whether it trained in forked workers."""
@@ -455,7 +462,7 @@ def test_feddf_fuse_equals_grad_opt_step_loop_bitwise(pool_kind, activation, pre
     assert steps == max_steps if patience == max_steps else steps < max_steps
     assert fused.prototype == ref.prototype == init.prototype
     assert np.array_equal(fused.values, ref.values)
-    assert rng.bit_generator.state == ref_rng.bit_generator.state  # the look-ahead step's draws are undone
+    assert rng.bit_generator.state == ref_rng.bit_generator.state  # no step past the stop drew from it
 
 
 @pytest.fixture
@@ -504,15 +511,15 @@ def test_pipelined_fusion_equals_the_serial_loop_bitwise(pool_kind, activation, 
 
 
 @pytest.mark.parametrize("piped", [False, True], ids=["in_process", "pipelined"])
-def test_a_look_ahead_step_only_fails_a_fusion_that_would_run_it(piped, scorer_workers, monkeypatch):
+def test_a_fusion_trains_exactly_the_steps_it_returns(piped, scorer_workers, monkeypatch):
     teachers, init, cfg, val = fusion_case("heldout", "relu", "full", "from_average", 400, 5)
     ref, ref_steps, ref_cursor = reference_fuse(teachers, init, cfg, val, np.random.default_rng(8))
-    assert ref_steps < cfg.max_steps  # a patience stop, so feddf_fuse trains step ref_steps + 1 ahead
+    assert ref_steps < cfg.max_steps  # a patience stop: step ref_steps + 1 would have room to run
     workers = scorer_workers(val, [init.prototype]) if piped else None
-    trainer, fail_at = numerics._trainer, []
+    trainer, fail_at, calls = numerics._trainer, [], []
 
     def failing_trainer(*args):
-        step, calls = trainer(*args), []
+        step = trainer(*args)
 
         def counted(x, target):
             calls.append(1)
@@ -525,13 +532,15 @@ def test_a_look_ahead_step_only_fails_a_fusion_that_would_run_it(piped, scorer_w
     fail_at[:] = [ref_steps + 1]  # the step a serial loop never runs
     fused, steps, cursor = feddf_fuse(teachers, init, cfg, val, np.random.default_rng(8), (None, 0), workers)
     assert steps == ref_steps and same_cursor(cursor, ref_cursor) and np.array_equal(fused.values, ref.values)
+    assert len(calls) == ref_steps  # no step was trained and thrown away
+    calls.clear()
     fail_at[:] = [ref_steps]  # the last step the serial loop runs
     with pytest.raises(ValueError, match="^gradient contains non-finite values$"):
         feddf_fuse(teachers, init, cfg, val, np.random.default_rng(8), (None, 0), workers)
 
 
-def test_pipelined_fusion_undoes_a_look_ahead_reshuffle(scorer_workers):
-    """The fusion stops at a step whose discarded successor began a new epoch of the heldout pool."""
+def test_pipelined_fusion_stops_just_before_a_heldout_reshuffle(scorer_workers):
+    """The fusion stops at a step whose successor would begin a new epoch of the heldout pool."""
     teachers, init, cfg, val = fusion_case("heldout", "relu", "full", "from_average", 400, 5)
     rows, batch = len(cfg.pool.inputs), cfg.pool.batch_size
     for seed in range(100):
@@ -825,34 +834,39 @@ def test_a_diverging_pipelined_student_raises_the_serial_error():
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads process states from /proc")
-def test_a_killed_run_takes_its_scorer_down():
+def test_a_killed_run_takes_its_workers_down():
     import select
     import signal
     import time
 
-    def alive(pid):
-        try:
-            with open(f"/proc/{pid}/stat") as fh:
-                return fh.read().rsplit(")", 1)[1].split()[0] != "Z"  # an unreaped zombie has exited
-        except FileNotFoundError:
-            return False
+    def session(sid):  # pids of the live processes in session sid; an unreaped zombie has exited
+        pids = []
+        for entry in filter(str.isdigit, os.listdir("/proc")):
+            try:
+                with open(f"/proc/{entry}/stat") as fh:
+                    state, _, _, session_id = fh.read().rsplit(")", 1)[1].split()[:4]
+            except (FileNotFoundError, ProcessLookupError):
+                continue
+            if int(session_id) == sid and state != "Z":
+                pids.append(int(entry))
+        return pids
 
     proc = subprocess.Popen(**script_process(KILLED_RUN), stdout=subprocess.PIPE, start_new_session=True)
     try:
         assert select.select([proc.stdout], [], [], 60)[0], "the scorer never started"
         word, pid = proc.stdout.readline().split()
-        assert word == "scorer" and alive(int(pid))
         time.sleep(0.2)  # mid-fusion
+        assert word == "scorer" and {proc.pid, int(pid)} < set(session(proc.pid))  # the run, its scorer, an idle worker
         proc.kill()
         proc.wait(10)
         deadline = time.monotonic() + 5.0
-        while alive(int(pid)) and time.monotonic() < deadline:
+        while session(proc.pid) and time.monotonic() < deadline:
             time.sleep(0.05)
-        assert not alive(int(pid))
+        assert session(proc.pid) == []
     finally:
         proc.stdout.close()
         try:
-            os.killpg(proc.pid, signal.SIGKILL)  # the run's idle worker, if any is left
+            os.killpg(proc.pid, signal.SIGKILL)  # cleanup: whatever the run left behind
         except ProcessLookupError:
             pass
 
