@@ -85,7 +85,7 @@ _POOL_STREAM = 3
 _INIT_STREAM = 4
 _POOL_MIN_STEPS = 256  # a round's local SGD steps that pay for forking workers
 _SCORE_MIN_WORK = 50_000  # len(val) * sum(fan_in * fan_out) of a student that pays for a forked scorer
-_SHARED: list = []  # [cfg, shards, val, block, ready, done] in a forked worker, set by _join_run
+_SHARED: list = []  # the scorer's [val, block, ready, done] in a forked worker, set by _join_run
 
 
 def sampling_rng(seed: int, round_index: int) -> np.random.Generator:
@@ -328,12 +328,10 @@ def client_local_update(
     return ParamVector(proto, values)
 
 
-def _train_client(job: tuple[int, ParamVector, int], cfg=None, shards=None) -> np.ndarray:
-    """Values client k sends in round t from start, job = (k, start, t); errors stay raw."""
-    k, start, t = job
-    cfg, shards = (cfg, shards) if cfg is not None else _SHARED[:2]
+def _train_client(k: int, start: ParamVector, t: int, cfg: FLConfig, shard: Dataset) -> np.ndarray:
+    """Values client k sends in round t from start after training on shard; errors stay raw."""
     model = client_local_update(  # FLConfig keeps prox_mu 0 outside fedprox
-        start, shards[k], cfg.local_epochs, cfg.local_lr, cfg.local_batch, client_rng(cfg.seed, t, k), cfg.prox_mu
+        start, shard, cfg.local_epochs, cfg.local_lr, cfg.local_batch, client_rng(cfg.seed, t, k), cfg.prox_mu
     )
     if start.prototype.precision == "binary_ste":  # clients transmit the binarized copy, not the master values
         return binarize_values(start.prototype, model.values)
@@ -361,7 +359,7 @@ def _blas_threads(n: int) -> int:
 
 
 def _join_run(parent: int, shared: list) -> None:
-    """Pool initializer: keep the run's shared state; on Linux, die with parent, the run's process."""
+    """Pool initializer: keep the scorer's shared state; on Linux, die with parent, the run's process."""
     _SHARED.extend(shared)
     getattr(ctypes.CDLL(None), "prctl", lambda *args: 0)(1, ctypes.c_ulong(9))  # PR_SET_PDEATHSIG, SIGKILL
     if os.getppid() != parent:  # the run died before the call
@@ -370,7 +368,7 @@ def _join_run(parent: int, shared: list) -> None:
 
 def _score_job(proto: Prototype) -> None:
     """A forked scorer: each post scores the shared snapshot into block[1]; a post of -1 ends the job."""
-    _, _, val, block, ready, done = _SHARED
+    val, block, ready, done = _SHARED
     score, parent = _scorer(proto, val, block[8 : 8 + proto.n_params]), os.getppid()
     while True:
         while not ready.acquire(False):  # polled: waking from a blocking wait costs what the overlap saves
@@ -386,8 +384,8 @@ class _Workers:
     """run_training's forked worker pool, made at the first round or fusion worth it; a dead worker breaks it."""
     pool = None
 
-    def __init__(self, cfg: FLConfig, shards: list[Dataset], val: Dataset, prototypes: list[Prototype]) -> None:
-        self.cfg, self.shards, self.val, self.size = cfg, shards, val, max(p.n_params for p in prototypes)
+    def __init__(self, val: Dataset, prototypes: list[Prototype]) -> None:
+        self.val, self.size = val, max(p.n_params for p in prototypes)
 
     def _fork(self, n: int) -> bool:
         """Whether the pool runs; forks it with min(cpus, n) workers given 2+ CPUs, fork and no daemon."""
@@ -401,19 +399,17 @@ class _Workers:
                 self.block = np.frombuffer(mmap.mmap(-1, 8 * (8 + self.size)))  # command, accuracy, 6 unused, snapshot
                 self.ready, self.done = fork.Semaphore(0), fork.Semaphore(0)
                 self.threads = _blas_threads(1)  # a second BLAS thread would fight the workers for their core
-                shared = [self.cfg, self.shards, self.val, self.block, self.ready, self.done]
+                shared = [self.val, self.block, self.ready, self.done]
                 self.pool = ProcessPoolExecutor(min(cpus, n), fork, _join_run, (os.getpid(), shared))
         return self.pool is not None
 
-    def submit(self, jobs: list[tuple[int, ParamVector, int]]) -> list | None:
-        """Result getters in job order, jobs sent largest shard first; None: train serially."""
-        cfg, shards = self.cfg, self.shards
-        steps = sum(cfg.local_epochs * -(-len(shards[k]) // cfg.local_batch) for k, _, _ in jobs)
+    def submit(self, jobs: list[tuple]) -> list | None:
+        """Result getters of _train_client(*job) in job order, jobs sent largest shard first; None: train serially."""
+        steps = sum(cfg.local_epochs * -(-len(shard) // cfg.local_batch) for _, _, _, cfg, shard in jobs)
         if len(jobs) < 2 or steps < _POOL_MIN_STEPS or not self._fork(len(jobs)):
             return None
-        by_size = sorted(jobs, key=lambda j: -len(shards[j[0]]))
-        pending = {j[0]: self.pool.submit(_train_client, j) for j in by_size}
-        return [pending[k].result for k, _, _ in jobs]
+        pending = {j[0]: self.pool.submit(_train_client, *j) for j in sorted(jobs, key=lambda j: -len(j[4]))}
+        return [pending[j[0]].result for j in jobs]
 
     def start_scorer(self, proto: Prototype) -> bool:
         """Start a scorer job for a fusion of proto if its validation pass pays for it; False: score in-process."""
@@ -505,14 +501,14 @@ def feddf_fuse(
     batch sizes on x86_64 OpenBLAS, a target probability moved by at most
     4.4e-16.
 
-    Checked once per fusion: val fits the student and has finite inputs;
-    the heldout rows (by the teachers' checked forward) and cached targets
-    (finite, non-negative, rows summing to 1). A noise batch's rows and
-    targets are checked per batch; every step checks the student's logits
-    and gradient (numerics._trainer). The student trains in place; a copy
-    of each step is scored through models._forward, by a forked job when
-    run_training's _workers has one for this student (see the module
-    docstring). The steps trained, result, cursor, rng state and errors
+    Checked once per fusion, before any draw from rng: the teachers' class
+    count is the student's; val fits the student and has finite inputs. The
+    teachers' checked forward checks the heldout rows once and each noise
+    batch; targets are its softmax, not re-checked. Every step checks the
+    student's logits and gradient (numerics._trainer). The student trains in
+    place; a copy of each step is scored through models._forward, by a
+    forked job when run_training's _workers has one for this student (see
+    the module docstring). The steps trained, result, cursor, rng state and errors
     equal a loop of numerics.grad, numerics.opt_step and top1_accuracy.
     """
     if not teachers:
@@ -522,6 +518,8 @@ def feddf_fuse(
         raise ShapeError(f"pool dim {cfg.pool.dim} != model input width {proto.n_inputs}")
     if cfg.max_steps == 0:
         return init.copy(), 0, cursor
+    if any(t.prototype.n_classes != proto.n_classes for t in teachers):
+        raise ShapeError(f"teachers' class counts differ from the student's {proto.n_classes}")
     student_proto = replace(proto, precision="full")
     _check_fits(student_proto, val, "val")
     opt = numerics.OptimizerState.adam(
@@ -531,8 +529,7 @@ def feddf_fuse(
     step = numerics._trainer(student_proto, values, opt)
 
     def teacher_targets(x: np.ndarray) -> np.ndarray:
-        q = numerics.softmax(ensemble_logits(teachers, x))
-        return numerics._check_probs(q, "teacher targets", (x.shape[0], proto.n_classes))
+        return numerics.softmax(ensemble_logits(teachers, x))
 
     pool = cfg.pool
     if pool.kind == "heldout":
@@ -622,12 +619,12 @@ def run_round(
         raise ConfigError(f"client_prototypes references undeclared prototypes {unknown}")
     t = state.round_index + 1
     ids = sample_clients(cfg.client_count, cfg.participation, sampling_rng(cfg.seed, t))
-    jobs = [(k, state.params[client_prototypes[k]], t) for k in ids.tolist()]
+    jobs = [(k, state.params[client_prototypes[k]], t, cfg, shards[k]) for k in ids.tolist()]
     pooled = _workers.submit(jobs) if _workers is not None else None
     trained = []
     for i, job in enumerate(jobs):  # results in client-id order: the lowest failing client raises
         try:
-            values = pooled[i]() if pooled else _train_client(job, cfg, shards)
+            values = pooled[i]() if pooled else _train_client(*job)
         except (ValueError, RuntimeError) as e:  # a diverging client's non-finite loss; BrokenProcessPool
             raise type(e)(f"round {t}, client {job[0]}: {e}") from e
         trained.append(ParamVector(job[1].prototype, values))
@@ -703,7 +700,7 @@ def run_training(
     """
     state = ServerState.initialize(prototypes, cfg.seed)
     records: list[RoundRecord] = []
-    workers = _Workers(cfg, shards, val, prototypes)
+    workers = _Workers(val, prototypes)
     try:
         for r in range(cfg.rounds):
             cap = capture_final if r == cfg.rounds - 1 else None

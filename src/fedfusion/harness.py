@@ -59,9 +59,9 @@ SCHEMA_VERSION = 1
 OUTPUT_ENV_VAR = "FEDFUSION_OUTPUT_ROOT"
 
 def write_metrics(records: list[RoundRecord], path) -> None:
-    with open(path, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps({**rec.as_dict(), "wall_ms": rec.wall_ms}, sort_keys=True) + "\n")
+    """One JSON line per record; a non-finite value raises ValueError before the file is opened."""
+    rows = [json.dumps({**rec.as_dict(), "wall_ms": rec.wall_ms}, sort_keys=True, allow_nan=False) for rec in records]
+    Path(path).write_text("".join(row + "\n" for row in rows))
 
 
 def read_metrics(path) -> list[RoundRecord]:
@@ -116,11 +116,11 @@ def save_boundary_grid(xs: np.ndarray, ys: np.ndarray, probs: np.ndarray, path) 
 
 
 def _write_json(obj: dict, path: Path) -> dict:
-    """Write obj as a JSON artifact (sorted keys, indent 2, trailing newline); return obj."""
+    """Write obj as a JSON artifact (sorted keys, indent 2, trailing newline); return obj.
+    A non-finite value, which JSON cannot hold, raises ValueError and writes nothing."""
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    path.write_text(text)
     return obj
 
 
@@ -206,6 +206,8 @@ def _parse_target(raw: str) -> tuple[str, float]:
     mode = mode.strip().lower()
     if mode not in ("relative", "absolute"):
         raise ValueError(f"unknown target mode {mode!r}")
+    if not np.isfinite(float(value)):
+        raise ValueError(f"target value must be finite, got {value.strip()}")
     return mode, float(value)
 
 
@@ -410,18 +412,9 @@ def load_experiment_config(path) -> ExperimentConfig:
     _probe(lambda: make_gaussian_blobs(cfg.classes, 1, None, cfg.scale), "dataset.scale")
     _probe(lambda: make_gaussian_blobs(cfg.classes, 1, cfg.centers), "dataset.centers")
     _probe(lambda: PartitionSpec(cfg.alpha, 1, 0), "partition.alpha")
-    # split_train_val sends round(val_fraction * per_class) of each class to validation
-    val_per_class = int(round(cfg.val_fraction * cfg.per_class))
-    if not 0 < val_per_class < cfg.per_class:
-        raise ConfigError(
-            f"dataset.val_fraction = {cfg.val_fraction} puts {val_per_class} of per_class = "
-            f"{cfg.per_class} samples in validation; both sides need at least one"
-        )
-    train_count = cfg.classes * (cfg.per_class - val_per_class)
-    if cfg.clients > train_count:
-        raise ConfigError(
-            f"federated.clients = {cfg.clients} exceeds the {train_count} training samples"
-        )
+    blobs = make_gaussian_blobs(cfg.classes, cfg.per_class)  # stands in for a seed's data: only its sizes matter
+    train, _ = _probe(lambda: split_train_val(blobs, cfg.val_fraction, 0), "dataset.val_fraction")
+    _probe(lambda: dirichlet_partition(train.labels, PartitionSpec(cfg.alpha, cfg.clients, 0)), "federated.clients")
     if len(cfg.prototypes) > 1 and any(s != "feddf_hetero" for s in cfg.strategies):
         raise ConfigError("multiple prototypes require strategy feddf_hetero only")
     data_dim = 2 if cfg.centers is None else cfg.centers.shape[1]
@@ -563,6 +556,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     """
     root = resolve_output_root(cfg)
     root.mkdir(parents=True, exist_ok=True)
+    (root / "summary.json").unlink(missing_ok=True)  # a run that fails leaves no earlier run's summary
     results: dict[str, dict] = {s: {} for s in cfg.strategies}
     centralized: dict[str, dict] = {}
     targets: dict[str, float] = {}
@@ -577,7 +571,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             save_dataset(data.test, seed_dir / "test.csv")
         mode, goal = cfg.target
         if mode == "relative":
-            cent_val, cent_test = centralized_reference(cfg, data, seed)
+            try:
+                cent_val, cent_test = centralized_reference(cfg, data, seed)
+            except (ValueError, RuntimeError) as e:  # a diverging model
+                raise type(e)(f"seed {seed}, centralized reference: {e}") from e
             centralized[str(seed)] = {"val_accuracy": cent_val, "test_accuracy": cent_test}
             target = goal * cent_val
         elif mode == "absolute":
@@ -591,9 +588,12 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             flcfg = _build_fl_config(cfg, strategy, seed, data.pool_inputs)
             want_capture = cfg.grid is not None and strategy != "feddf_hetero"
             capture: dict | None = {} if want_capture else None
-            state, records = run_training(
-                flcfg, data.shards, data.val, cfg.make_prototypes(), cfg.client_prototype_map(), capture
-            )
+            try:
+                state, records = run_training(
+                    flcfg, data.shards, data.val, cfg.make_prototypes(), cfg.client_prototype_map(), capture
+                )
+            except (ValueError, RuntimeError) as e:  # run_round names the round and client or prototype
+                raise type(e)(f"seed {seed}, {strategy}: {e}") from e
             run_dir = seed_dir / strategy
             run_dir.mkdir(exist_ok=True)
             write_metrics(records, run_dir / "metrics.jsonl")

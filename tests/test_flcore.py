@@ -442,6 +442,17 @@ def fusion_case(pool_kind, activation, precision, init_mode, max_steps, patience
     return teachers, init, cfg, val
 
 
+@pytest.mark.parametrize("pool_kind", ["heldout", "uniform_noise", "gaussian_noise"])
+def test_teachers_of_another_class_count_fail_before_the_first_draw(pool_kind):
+    _, init, cfg, val = fusion_case(pool_kind, "relu", "full", "from_average", 10, 5)
+    teachers = [init_params(Prototype("t", (2, 12, 4)), s) for s in range(2)]  # the student has 3 classes
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ShapeError, match="class counts differ from the student's 3"):
+        feddf_fuse(teachers, init, cfg, val, rng)
+    assert rng.bit_generator.state == before
+
+
 FUSION_CASES = [
     (pool_kind, activation, precision, init_mode, 30, 30)
     for pool_kind in ("heldout", "uniform_noise", "gaussian_noise")
@@ -473,7 +484,7 @@ def scorer_workers(monkeypatch):
     made = []
 
     def make(val, prototypes):
-        made.append(flcore._Workers(small_cfg("fedavg"), [], val, prototypes))
+        made.append(flcore._Workers(val, prototypes))
         return made[-1]
 
     yield make

@@ -19,6 +19,7 @@ from fedfusion.harness import (
     _BOUND_SCHEMA,
     _EXPERIMENT_SCHEMA,
     _derive_seed,
+    _write_json,
     build_seed_data,
     decision_boundary_grid,
     load_bound_config,
@@ -164,6 +165,15 @@ class TestMetricsFile:
         assert [r.wall_ms for r in back] == [r.wall_ms for r in records]
         # one JSON object per line
         assert len(path.read_text().strip().splitlines()) == 3
+
+    def test_non_finite_values_raise_and_write_nothing(self, tmp_path):
+        rec = sample_row()
+        rec.acc_fused = float("nan")
+        with pytest.raises(ValueError):
+            write_metrics([sample_row(1), rec], tmp_path / "metrics.jsonl")
+        with pytest.raises(ValueError):
+            _write_json({"target_value": float("inf")}, tmp_path / "summary.json")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestDecisionBoundaryGrid:
@@ -335,8 +345,34 @@ class TestConfigLoading:
         fits = write_config(tmp_path / "fits.ini", per_class="per_class = 10", clients="clients = 24")
         assert load_experiment_config(fits).clients == 24
         too_many = write_config(tmp_path / "many.ini", per_class="per_class = 10", clients="clients = 25")
-        with pytest.raises(ConfigError, match="federated.clients = 25 exceeds the 24 training samples"):
+        with pytest.raises(ConfigError) as err:
             load_experiment_config(too_many)
+        assert str(err.value) == "bad value for federated.clients: cannot split 24 samples across 25 clients"
+
+    @pytest.mark.parametrize("classes", [2, 3])
+    @pytest.mark.parametrize("per_class", [1, 2, 3, 5, 7])
+    @pytest.mark.parametrize("val_fraction", [0.15, 0.5, 0.9])
+    def test_split_and_partition_verdicts_follow_the_sample_counts(self, tmp_path, classes, per_class, val_fraction):
+        # split_train_val sends round(val_fraction * per_class) of each class to validation
+        val_per_class = round(val_fraction * per_class)
+        train_count = classes * (per_class - val_per_class)
+        for clients in (1, 2, 4, 9, 14):
+            path = write_config(
+                tmp_path / "c.ini",
+                classes=f"classes = {classes}",
+                per_class=f"per_class = {per_class}",
+                val_fraction=f"val_fraction = {val_fraction}",
+                clients=f"clients = {clients}",
+                prototypes=f"prototypes = 2,8,{classes}",
+            )
+            if not 0 < val_per_class < per_class:
+                with pytest.raises(ConfigError, match="^bad value for dataset.val_fraction: "):
+                    load_experiment_config(path)
+            elif clients > train_count:
+                with pytest.raises(ConfigError, match=f"^bad value for federated.clients: cannot split {train_count} "):
+                    load_experiment_config(path)
+            else:
+                assert load_experiment_config(path).clients == clients
 
     @pytest.mark.parametrize("per_class, val_fraction", [(2, 0.15), (3, 0.9)])
     def test_val_fraction_leaving_an_empty_side_fails_at_load(self, tmp_path, per_class, val_fraction):
@@ -383,6 +419,12 @@ class TestConfigLoading:
     def test_bad_target_string_raises(self, tmp_path):
         path = write_config(tmp_path / "bad.ini", target="target = eventually")
         with pytest.raises(ConfigError, match="evaluation.target"):
+            load_experiment_config(path)
+
+    @pytest.mark.parametrize("target", ["relative:nan", "absolute:inf"])
+    def test_non_finite_target_raises(self, tmp_path, target):
+        path = write_config(tmp_path / "bad.ini", target=f"target = {target}")
+        with pytest.raises(ConfigError, match="evaluation.target.*must be finite"):
             load_experiment_config(path)
 
     @pytest.mark.parametrize(
@@ -707,6 +749,24 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith("config error:")
             assert "federated.clients" in err
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    def test_failed_run_leaves_no_earlier_summary(self, tmp_path, capsys):
+        assert cli_main(["run", str(write_config(tmp_path / "ok.ini", target="target = relative:0.5"))]) == 0
+        assert (tmp_path / "out" / "summary.json").is_file()
+        bad = write_config(tmp_path / "bad.ini", target="target = relative:0.5", local_lr="local_lr = 1e300")
+        assert cli_main(["run", str(bad)]) == 2
+        assert not (tmp_path / "out" / "summary.json").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "target, phase",
+        [("relative:0.5", "seed 0, centralized reference"), ("none", "seed 0, fedavg: round 1, client 2")],
+    )
+    def test_run_time_error_names_its_seed_and_phase(self, tmp_path, capsys, target, phase):
+        path = write_config(tmp_path / "bad.ini", target=f"target = {target}", local_lr="local_lr = 1e300")
+        assert cli_main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {phase}: softmax input contains non-finite values\n"
 
     def test_empty_validation_split_exits_one(self, tmp_path, capsys):
         path = write_config(
