@@ -36,12 +36,12 @@ fusion, through each round's prototypes in sorted id order.
 
 Determinism: every random stream is derived from (seed, stream tag, round,
 client), never from call order, so the order in which a round's clients are
-trained cannot change its result. So from its first round with two or more
-clients and _POOL_MIN_STEPS local steps (epochs * ceil(shard / batch), summed),
-the work that pays for a fork, run_training trains clients in a fork-context
-pool. Both paths run _train_client and read results in client-id order, so
-results and the first error are the serial loop's; a worker that dies fails the
-round, named for the lowest client whose result was lost.
+trained cannot change its result. run_round hands them to _Workers.map as
+keyed jobs whose work is their local steps (epochs * ceil(shard / batch)).
+Under run_training, two or more jobs of _POOL_MIN_STEPS summed work run in a
+fork-context pool; results come back in client-id order, so results and the
+first error are the serial loop's, and a worker that dies fails the round,
+named for the client it held.
 
 From a student whose score costs _SCORE_MIN_WORK (len(val) * sum(fan_in *
 fan_out)), a scorer job in the same pool scores each step on the other core,
@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import ctypes
 import os
+import signal
 import time
 from dataclasses import dataclass, field, replace
 
@@ -85,7 +86,7 @@ _POOL_STREAM = 3
 _INIT_STREAM = 4
 _POOL_MIN_STEPS = 256  # a round's local SGD steps that pay for forking workers
 _SCORE_MIN_WORK = 50_000  # len(val) * sum(fan_in * fan_out) of a student that pays for a forked scorer
-_SHARED: list = []  # the scorer's [val, block, ready, done] in a forked worker, set by _join_run
+_SHARED: list = []  # in a forked worker: the run's [val, block, ready, done] and its held-job cell, set by _join_run
 
 
 def sampling_rng(seed: int, round_index: int) -> np.random.Generator:
@@ -358,17 +359,26 @@ def _blas_threads(n: int) -> int:
         return 0
 
 
-def _join_run(parent: int, shared: list) -> None:
-    """Pool initializer: keep the scorer's shared state; on Linux, die with parent, the run's process."""
-    _SHARED.extend(shared)
+def _join_run(parent: int, shared: list, joined) -> None:
+    """Pool initializer: keep the run's shared state, claim a held-job cell; on Linux, die with parent (the run)."""
+    with joined.get_lock():  # joined counts the workers so far; each holds the joined-th cell from the block's end
+        joined.value += 1
+        _SHARED.extend(shared + [-joined.value])
+    signal.signal(signal.SIGTERM, lambda *args: _held_job(0, os._exit, (1,)))  # a broken pool ends live workers so
     getattr(ctypes.CDLL(None), "prctl", lambda *args: 0)(1, ctypes.c_ulong(9))  # PR_SET_PDEATHSIG, SIGKILL
     if os.getppid() != parent:  # the run died before the call
         os._exit(1)
 
 
+def _held_job(mark: int, fn, args: tuple):
+    """fn(*args) in a forked worker, with mark (1 + the job's index in its map) in the worker's held-job cell."""
+    _SHARED[1][_SHARED[4]] = mark
+    return fn(*args)
+
+
 def _score_job(proto: Prototype) -> None:
     """A forked scorer: each post scores the shared snapshot into block[1]; a post of -1 ends the job."""
-    val, block, ready, done = _SHARED
+    val, block, ready, done, _ = _SHARED
     score, parent = _scorer(proto, val, block[8 : 8 + proto.n_params]), os.getppid()
     while True:
         while not ready.acquire(False):  # polled: waking from a blocking wait costs what the overlap saves
@@ -381,47 +391,65 @@ def _score_job(proto: Prototype) -> None:
 
 
 class _Workers:
-    """run_training's forked worker pool, made at the first round or fusion worth it; a dead worker breaks it."""
+    """run_training's fork pool, made at the first jobs or fusion worth a fork; one made without val never forks."""
     pool = None
 
-    def __init__(self, val: Dataset, prototypes: list[Prototype]) -> None:
-        self.val, self.size = val, max(p.n_params for p in prototypes)
+    def __init__(self, val: Dataset | None = None, prototypes: list[Prototype] = ()) -> None:
+        self.val, self.size = val, max((p.n_params for p in prototypes), default=0)
 
     def _fork(self, n: int) -> bool:
-        """Whether the pool runs; forks it with min(cpus, n) workers given 2+ CPUs, fork and no daemon."""
+        """Whether the pool runs; forks it with min(cpus, n) workers given a val, 2+ CPUs, fork and no daemon."""
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-        if self.pool is None and cpus >= 2:
+        if self.pool is None and self.val is not None and cpus >= 2:
             import multiprocessing
             if "fork" in multiprocessing.get_all_start_methods() and not multiprocessing.current_process().daemon:
                 import mmap
                 from concurrent.futures import ProcessPoolExecutor
-                fork = multiprocessing.get_context("fork")  # a worker that dies fails the pending jobs: BrokenProcessPool
-                self.block = np.frombuffer(mmap.mmap(-1, 8 * (8 + self.size)))  # command, accuracy, 6 unused, snapshot
-                self.ready, self.done = fork.Semaphore(0), fork.Semaphore(0)
+                fork, n = multiprocessing.get_context("fork"), min(cpus, n)  # a dead worker fails the pending jobs
+                self.block = np.frombuffer(mmap.mmap(-1, 8 * (8 + self.size + n)))  # command, accuracy, 6 unused,
+                self.ready, self.done = fork.Semaphore(0), fork.Semaphore(0)  # snapshot, a held-job cell per worker
                 self.threads = _blas_threads(1)  # a second BLAS thread would fight the workers for their core
                 shared = [self.val, self.block, self.ready, self.done]
-                self.pool = ProcessPoolExecutor(min(cpus, n), fork, _join_run, (os.getpid(), shared))
+                self.pool = ProcessPoolExecutor(n, fork, _join_run, (os.getpid(), shared, fork.Value("i", 0)))
         return self.pool is not None
 
-    def submit(self, jobs: list[tuple]) -> list | None:
-        """Result getters of _train_client(*job) in job order, jobs sent largest shard first; None: train serially."""
-        steps = sum(cfg.local_epochs * -(-len(shard) // cfg.local_batch) for _, _, _, cfg, shard in jobs)
-        if len(jobs) < 2 or steps < _POOL_MIN_STEPS or not self._fork(len(jobs)):
-            return None
-        pending = {j[0]: self.pool.submit(_train_client, *j) for j in sorted(jobs, key=lambda j: -len(j[4]))}
-        return [pending[j[0]].result for j in jobs]
+    def map(self, fn, jobs: list[tuple], label: str) -> list:
+        """fn(*args) for each (key, args, work) job, given and returned in key order; the lowest failing key's error
+        is raised as "<label> <key>: <error>". Two or more jobs of _POOL_MIN_STEPS summed work run in the pool, if
+        it forks, most work first. A dead worker's BrokenProcessPool names the job it held."""
+        forked = len(jobs) > 1 and sum(job[2] for job in jobs) >= _POOL_MIN_STEPS and self._fork(len(jobs))
+        if forked:
+            self.block[8 + self.size :] = 0  # no worker holds a job of this map yet
+            order = sorted(range(len(jobs)), key=lambda i: -jobs[i][2])
+            pending = {i: self.pool.submit(_held_job, i + 1, fn, jobs[i][1]) for i in order}
+        results = []
+        try:
+            for i, (_, args, _) in enumerate(jobs):
+                results.append(pending[i].result() if forked else fn(*args))
+        except (ValueError, RuntimeError) as e:  # a failing job, such as a diverging client; BrokenProcessPool
+            from concurrent.futures.process import BrokenProcessPool
+            held = [len(results)]  # the lowest failing key, as the serial loop meets it
+            if isinstance(e, BrokenProcessPool):
+                self.pool.shutdown()  # joins every worker; the pool ended the live ones, which cleared their cells
+                held = [int(h) - 1 for h in self.block[8 + self.size :] if h]
+                if not held:  # the dead worker had started no job
+                    raise
+            raise type(e)(f"{label} {jobs[min(held)][0]}: {e}") from e
+        return results
 
     def start_scorer(self, proto: Prototype) -> bool:
-        """Start a scorer job for a fusion of proto if its validation pass pays for it; False: score in-process."""
+        """Start a scorer job for a fusion of proto, scoring self.snapshot at each post, if its validation pass pays."""
         w = proto.layer_widths
         if len(self.val) * sum(a * b for a, b in zip(w, w[1:])) < _SCORE_MIN_WORK or not self._fork(2):
             return False
-        self.job = self.pool.submit(_score_job, proto)
+        self.job, self.snapshot = self.pool.submit(_score_job, proto), self.block[8 : 8 + proto.n_params]
         return True
 
-    def post(self, command: float = 1.0) -> None:  # -1 ends the scorer job
+    def post(self, command: float = 1.0) -> None:  # 1 scores self.snapshot; -1 ends the scorer job, and waits
         self.block[0] = command
         self.ready.release()
+        if command < 0:
+            self.job.result()
 
     def wait(self) -> float:
         """The score of the last post, polled; a scorer that died raises BrokenProcessPool."""
@@ -549,7 +577,7 @@ def feddf_fuse(
             step(x, teacher_targets(x))
 
     piped = _workers is not None and _workers.start_scorer(student_proto)  # after the targets: the scorer spins
-    snapshot = _workers.block[8 : 8 + len(values)] if piped else np.empty_like(values)
+    snapshot = _workers.snapshot if piped else np.empty_like(values)
     try:
         score = _scorer(student_proto, val, snapshot)
         snapshot[:] = values
@@ -573,7 +601,6 @@ def feddf_fuse(
     finally:
         if piped:
             _workers.post(-1.0)
-            _workers.job.result()
     return ParamVector(proto, best_values), s, cursor
 
 
@@ -619,15 +646,11 @@ def run_round(
         raise ConfigError(f"client_prototypes references undeclared prototypes {unknown}")
     t = state.round_index + 1
     ids = sample_clients(cfg.client_count, cfg.participation, sampling_rng(cfg.seed, t))
-    jobs = [(k, state.params[client_prototypes[k]], t, cfg, shards[k]) for k in ids.tolist()]
-    pooled = _workers.submit(jobs) if _workers is not None else None
-    trained = []
-    for i, job in enumerate(jobs):  # results in client-id order: the lowest failing client raises
-        try:
-            values = pooled[i]() if pooled else _train_client(*job)
-        except (ValueError, RuntimeError) as e:  # a diverging client's non-finite loss; BrokenProcessPool
-            raise type(e)(f"round {t}, client {job[0]}: {e}") from e
-        trained.append(ParamVector(job[1].prototype, values))
+    starts = {k: state.params[client_prototypes[k]] for k in ids.tolist()}
+    steps = {k: cfg.local_epochs * -(-len(shards[k]) // cfg.local_batch) for k in starts}  # a client job's work
+    jobs = [(k, (k, x, t, cfg, shards[k]), steps[k]) for k, x in starts.items()]
+    values = (_workers or _Workers()).map(_train_client, jobs, f"round {t}, client")
+    trained = [ParamVector(x.prototype, v) for x, v in zip(starts.values(), values)]
     val_logits = [predict_logits(m, val.inputs) for m in trained]
     kept_idx = _kept_indices([_accuracy(z, val) for z in val_logits], cfg.drop_threshold)
     kept_ids = [int(ids[i]) for i in kept_idx]

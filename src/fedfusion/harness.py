@@ -47,7 +47,7 @@ from .flcore import (
     DistillConfig,
     FLConfig,
     RoundRecord,
-    ServerState,
+    _check_fits,
     client_local_update,
     run_training,
     top1_accuracy,
@@ -410,25 +410,17 @@ def load_experiment_config(path) -> ExperimentConfig:
     if cfg.drop_threshold == "auto":
         cfg.drop_threshold = 1.1 / cfg.classes
     _probe(lambda: make_gaussian_blobs(cfg.classes, 1, None, cfg.scale), "dataset.scale")
-    _probe(lambda: make_gaussian_blobs(cfg.classes, 1, cfg.centers), "dataset.centers")
-    _probe(lambda: PartitionSpec(cfg.alpha, 1, 0), "partition.alpha")
-    blobs = make_gaussian_blobs(cfg.classes, cfg.per_class)  # stands in for a seed's data: only its sizes matter
+    blobs = _probe(lambda: make_gaussian_blobs(cfg.classes, cfg.per_class, cfg.centers), "dataset.centers")
+    _probe(lambda: PartitionSpec(cfg.alpha, 1, 0), "partition.alpha")  # blobs stands in for a seed's data
     train, _ = _probe(lambda: split_train_val(blobs, cfg.val_fraction, 0), "dataset.val_fraction")
     _probe(lambda: dirichlet_partition(train.labels, PartitionSpec(cfg.alpha, cfg.clients, 0)), "federated.clients")
     if len(cfg.prototypes) > 1 and any(s != "feddf_hetero" for s in cfg.strategies):
         raise ConfigError("multiple prototypes require strategy feddf_hetero only")
-    data_dim = 2 if cfg.centers is None else cfg.centers.shape[1]
-    for widths in cfg.prototypes:
-        if widths[0] != data_dim:
-            raise ConfigError(
-                f"federated.prototypes: input width {widths[0]} != data dim {data_dim}"
-            )
-        if widths[-1] != cfg.classes:
-            raise ConfigError(
-                f"federated.prototypes: output width {widths[-1]} != dataset.classes {cfg.classes}"
-            )
-    if cfg.grid is not None and data_dim != 2:
-        raise ConfigError("evaluation.grid needs 2-D inputs")
+    ends = [(w[0], w[-1]) for w in cfg.prototypes]  # the library's fit and grid rules read only these widths
+    stand_ins = _probe(lambda: [Prototype(f"p{i}", w) for i, w in enumerate(ends)], "federated.prototypes")
+    _probe(lambda: [_check_fits(p, blobs, "dataset") for p in stand_ins], "federated.prototypes")
+    if cfg.grid is not None:
+        _probe(lambda: decision_boundary_grid(init_params(stand_ins[0], 0), cfg.grid[:2], 2), "evaluation.grid")
     _probe(lambda: [Prototype("p", widths) for widths in cfg.prototypes], "federated.prototypes")
     _probe(lambda: Prototype("p", cfg.prototypes[0], cfg.activation), "federated.activation")
     _probe(cfg.make_prototypes, "federated.precision")
@@ -535,14 +527,6 @@ def centralized_reference(
     return top1_accuracy(trained, data.val), top1_accuracy(trained, data.test)
 
 
-def _final_test_metrics(state: ServerState, test: Dataset) -> dict:
-    per_proto = {pid: top1_accuracy(p, test) for pid, p in sorted(state.params.items())}
-    return {
-        "test_acc_fused": float(np.mean(list(per_proto.values()))),
-        "test_acc_per_prototype": per_proto,
-    }
-
-
 def resolve_output_root(cfg: ExperimentConfig | BoundSuiteConfig) -> Path:
     """FEDFUSION_OUTPUT_ROOT when set, else the config's output directory."""
     env = os.environ.get(OUTPUT_ENV_VAR)
@@ -569,19 +553,15 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             save_dataset(data.train, seed_dir / "train.csv")
             save_dataset(data.val, seed_dir / "val.csv")
             save_dataset(data.test, seed_dir / "test.csv")
-        mode, goal = cfg.target
+        mode, target = cfg.target
         if mode == "relative":
             try:
                 cent_val, cent_test = centralized_reference(cfg, data, seed)
             except (ValueError, RuntimeError) as e:  # a diverging model
                 raise type(e)(f"seed {seed}, centralized reference: {e}") from e
             centralized[str(seed)] = {"val_accuracy": cent_val, "test_accuracy": cent_test}
-            target = goal * cent_val
-        elif mode == "absolute":
-            target = goal
-        else:
-            target = None
-        if target is not None:
+            target *= cent_val
+        if mode != "none":
             targets[str(seed)] = target
 
         for strategy in cfg.strategies:
@@ -608,17 +588,18 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                     grids += [(f"client{k}_grid.csv", m) for k, m in sorted(capture.get("client_models", {}).items())]
                 for name, model in grids:
                     save_boundary_grid(*decision_boundary_grid(model, (lo, hi), res), run_dir / name)
-            entry = {
-                "rounds_to_target": None if target is None else rounds_to_target(records, target),
+            test_accs = {pid: top1_accuracy(p, data.test) for pid, p in sorted(state.params.items())}
+            results[strategy][str(seed)] = {
+                "rounds_to_target": None if mode == "none" else rounds_to_target(records, target),
                 "final_acc_averaged": records[-1].acc_averaged if records else None,
                 "final_acc_fused": records[-1].acc_fused if records else None,
                 "final_acc_ensemble": records[-1].acc_ensemble if records else None,
                 "mean_distill_steps": float(np.mean([r.distill_steps for r in records]))
                 if records
                 else 0.0,
+                "test_acc_fused": float(np.mean(list(test_accs.values()))),
+                "test_acc_per_prototype": test_accs,
             }
-            entry.update(_final_test_metrics(state, data.test))
-            results[strategy][str(seed)] = entry
 
     aggregate = {}
     for strategy in cfg.strategies:
@@ -693,14 +674,7 @@ def run_bound_suite(cfg: BoundSuiteConfig) -> dict:
             ref_size=cfg.ref_size,
             delta=cfg.delta,
         )
-        rep = bound_mod.check_bound(
-            inst["k_clients"],
-            inst["m"],
-            inst["delta"],
-            inst["hclass"],
-            inst["global_sample"],
-            inst["local_samples"],
-        )
+        rep = bound_mod.check_bound(**{k: v for k, v in inst.items() if k != "family"})  # keys: its parameter names
         d = rep.to_dict()
         d["instance_seed"] = cfg.seed + i
         d["family"] = inst["family"]

@@ -76,17 +76,21 @@ def no_worker_outlives_its_test():
 
 @pytest.fixture
 def pooled_rounds(monkeypatch):
-    """Two usable CPUs on any host; returns, per round, whether it trained in forked workers."""
+    """Two usable CPUs on any host; returns, per run_training round, whether it trained in forked workers."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    pooled = []
-    submit = flcore._Workers.submit
+    pooled, sent = [], []
+    run_jobs, submit = flcore._Workers.map, concurrent.futures.ProcessPoolExecutor.submit
 
-    def spy(self, jobs):
-        getters = submit(self, jobs)
-        pooled.append(getters is not None)
-        return getters
+    def spy(self, fn, jobs, label):
+        sent.clear()
+        try:
+            return run_jobs(self, fn, jobs, label)
+        finally:
+            if self.val is not None:  # run_training's workers; run_round called alone runs its jobs in-process
+                pooled.append(bool(sent))
 
-    monkeypatch.setattr(flcore._Workers, "submit", spy)
+    monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "submit", lambda pool, *a: sent.append(1) or submit(pool, *a))
+    monkeypatch.setattr(flcore._Workers, "map", spy)
     return pooled
 
 
@@ -817,11 +821,11 @@ run(10**7)  # a fusion that outlasts the test
 """
 
 
-def script_process(script: str) -> dict:
-    """subprocess arguments that run script in a fresh interpreter on this checkout's src."""
+def script_process(script: str, *args: str) -> dict:
+    """subprocess arguments that run script with args in a fresh interpreter on this checkout's src."""
     root = Path(__file__).resolve().parents[1]
     path = os.pathsep.join(p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
-    return dict(args=[sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path}, text=True)
+    return dict(args=[sys.executable, "-c", script, *args], env={**os.environ, "PYTHONPATH": path}, text=True)
 
 
 def test_a_dead_scorer_fails_the_round_naming_its_prototype():
@@ -883,7 +887,7 @@ def test_a_killed_run_takes_its_workers_down():
 
 
 DEAD_WORKER_RUN = """
-import multiprocessing, os, time
+import multiprocessing, os, sys, time
 import fedfusion as ff
 from fedfusion import flcore
 
@@ -892,34 +896,88 @@ train, val = ff.split_train_val(full, 0.2, seed=2000)
 shards = [train.subset(ix) for ix in ff.dirichlet_partition(train.labels, ff.PartitionSpec(1.0, 4, 3000))]
 cfg = flcore.FLConfig(rounds=3, client_count=4, participation=1.0, local_epochs=20, local_lr=0.05,
                       local_batch=8, strategy="fedavg")
-os.sched_getaffinity = lambda pid: {0, 1}  # two usable CPUs on any host
+killed, cpus = int(sys.argv[1]), int(sys.argv[2])
+os.sched_getaffinity = lambda pid: set(range(cpus))  # usable CPUs on any host, so the pool has cpus workers
 client_rng = flcore.client_rng
 
-def dying_rng(seed, t, k):  # the worker that trains client 0 dies
-    if k == 0:
+def dying_rng(seed, t, k):  # the worker that trains client `killed` dies
+    if k == killed:
         os._exit(1)
     return client_rng(seed, t, k)
 
 flcore.client_rng = dying_rng
+print("shards", *[len(shard) for shard in shards])
+threads = flcore._blas_threads(2)  # 2, which the pool must give back, on any host; 0: the BLAS has no such call
 tic = time.perf_counter()
 try:
     flcore.run_training(cfg, shards, val, [ff.Prototype("m", (2, 12, 3))])
 except Exception as e:
     print(f"{time.perf_counter() - tic:.3f}", type(e).__name__, e)
 print("children", len(multiprocessing.active_children()))
+print("threads", threads and flcore._blas_threads(threads))  # the count after the run; the caller's is restored
 """
 
 
-def test_a_dead_worker_fails_the_round_naming_its_client():
+def dead_worker_run(killed: int, cpus: int) -> list[str]:
+    """The lines DEAD_WORKER_RUN prints when, with cpus workers, the worker of client killed dies in round 1."""
     proc = subprocess.run(  # a child process, so a pool that waits forever fails here instead of hanging
-        **script_process(DEAD_WORKER_RUN), capture_output=True, timeout=60
+        **script_process(DEAD_WORKER_RUN, str(killed), str(cpus)), capture_output=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    error, children = proc.stdout.splitlines()
+    return proc.stdout.splitlines()
+
+
+@pytest.mark.parametrize("cpus", [2, 4], ids=["2_workers", "4_workers"])  # 4: every job runs at once, more workers than cores
+@pytest.mark.parametrize("killed", [0, 1, 2, 3])
+def test_a_dead_worker_fails_the_round_naming_its_client(killed, cpus):
+    shards, error, children, _ = dead_worker_run(killed, cpus)
+    assert shards == "shards 16 30 89 9"  # sent with the most local steps first: clients 2, 1, 0, 3
     seconds, kind, message = error.split(" ", 2)
-    assert kind == "BrokenProcessPool" and message.startswith("round 1, client 0: ")
+    assert kind == "BrokenProcessPool" and message.startswith(f"round 1, client {killed}: ")
     assert float(seconds) < 10.0
     assert children == "children 0"
+
+
+def blas_threads() -> int:
+    """numpy's OpenBLAS thread count, unchanged by the reading."""
+    count = flcore._blas_threads(1)
+    flcore._blas_threads(count)
+    return count
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("ending", ["normal", "diverging_client", "dead_worker"])
+def test_the_pool_gives_the_blas_thread_count_back(ending, pooled_rounds, monkeypatch):
+    if ending == "dead_worker":  # in a child process, as the dead-worker test runs
+        lines = dead_worker_run(2, 2)
+        assert lines[1].split(" ", 1)[1].startswith("BrokenProcessPool round 1, client 2: ")
+        if lines[-1] == "threads 0":
+            pytest.skip("numpy's BLAS does not expose its thread count")
+        assert lines[-1] == "threads 2"
+        return
+    caller = flcore._blas_threads(2)  # a count the pool must change and give back, also on a one-thread host
+    if caller == 0:
+        pytest.skip("numpy's BLAS does not expose its thread count")
+    during, run_jobs = [], flcore._Workers.map
+
+    def spy(self, *args):  # reads the count in the parent once the round's clients are trained or failed
+        try:
+            return run_jobs(self, *args)
+        finally:
+            during.append(blas_threads())
+
+    monkeypatch.setattr(flcore._Workers, "map", spy)
+    _, val, shards, proto = small_task()
+    try:
+        if ending == "normal":
+            run_training(over_gate_cfg("fedavg"), shards, val, [proto])
+        else:
+            with pytest.raises(ValueError, match=r"^round 1, client 0: "):
+                run_training(over_gate_cfg("fedavg", local_lr=1e200, seed=2), shards, val, [proto])
+        assert pooled_rounds and all(pooled_rounds) and during == [1] * len(pooled_rounds)
+        assert blas_threads() == 2
+    finally:
+        flcore._blas_threads(caller)
 
 
 def _refuse_pool(*args, **kwargs):

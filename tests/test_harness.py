@@ -325,10 +325,11 @@ class TestConfigLoading:
 
     def test_prototype_width_must_match_data(self, tmp_path):
         path = write_config(tmp_path / "bad.ini", prototypes="prototypes = 3,8,3")
-        with pytest.raises(ConfigError, match="input width"):
+        with pytest.raises(ConfigError) as err:
             load_experiment_config(path)
+        assert str(err.value) == "bad value for federated.prototypes: dataset (2 dims, 3 classes) does not fit prototype 'p0'"
         path = write_config(tmp_path / "bad2.ini", prototypes="prototypes = 2,8,4")
-        with pytest.raises(ConfigError, match="output width"):
+        with pytest.raises(ConfigError, match="federated.prototypes: .* does not fit prototype 'p0'"):
             load_experiment_config(path)
 
     def test_more_clients_than_training_samples_fails_at_load(self, tmp_path):
@@ -767,6 +768,33 @@ class TestCli:
         path = write_config(tmp_path / "bad.ini", target=f"target = {target}", local_lr="local_lr = 1e300")
         assert cli_main(["run", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {phase}: softmax input contains non-finite values\n"
+
+    @pytest.mark.parametrize(
+        "changes, phase",
+        [
+            ({}, "seed 0, centralized reference"),
+            ({"relative:0.9": "none"}, "seed 0, fedavg: round 1, client 2"),
+            ({"relative:0.9": "none", "local_epochs = 10": "local_epochs = 40"}, "seed 0, fedavg: round 1, client 2"),
+        ],
+        ids=["centralized", "clients", "pooled_clients"],
+    )
+    def test_a_diverging_run_prints_one_error_line(self, tmp_path, changes, phase):
+        """The README config with local_lr 1e300, in a fresh process: numpy's warnings stay silent, also in workers."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        text = readme.split("```ini\n", 1)[1].split("```", 1)[0].replace("local_lr = 0.05", "local_lr = 1e300")
+        for old, new in changes.items():  # 40 local epochs: the round's 4 clients reach the pool's 256 steps
+            text = text.replace(old, new)
+        (tmp_path / "exp.ini").write_text(text)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "fedfusion", "run", str(tmp_path / "exp.ini")],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p),
+                 OUTPUT_ENV_VAR: str(tmp_path / "out")},
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {phase}: softmax input contains non-finite values\n"
 
     def test_empty_validation_split_exits_one(self, tmp_path, capsys):
         path = write_config(
