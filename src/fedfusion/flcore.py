@@ -43,11 +43,12 @@ fork-context pool; results come back in client-id order, so results and the
 first error are the serial loop's, and a worker that dies fails the round,
 named for the client it held.
 
-From a student whose score costs _SCORE_MIN_WORK (len(val) * sum(fan_in *
-fan_out)), a scorer job in the same pool scores each step on the other core,
-while the fusion trains the next step if that step runs whatever the score is;
-smaller students score in-process. Both give the serial loop's steps, results
-and errors; a dead scorer fails the round, named for its prototype. While the
+feddf_fuse asks _Workers.scorer for its scorer. From a student whose score
+costs _SCORE_MIN_WORK (len(val) * sum(fan_in * fan_out)), a job in the same
+pool scores each step on a CPU the run is not on, while the fusion trains the
+next step if that step runs whatever the score is; smaller students score
+in-process. Both give the serial loop's steps, results and errors; a dead
+scorer fails the round, named for its prototype. While the
 pool runs, OpenBLAS keeps one thread; on Linux its workers die with the run.
 One CPU, no fork, a daemonic process, or run_round or feddf_fuse alone fork nothing.
 """
@@ -377,14 +378,23 @@ def _held_job(mark: int, fn, args: tuple):
 
 
 def _score_job(proto: Prototype) -> None:
-    """A forked scorer: each post scores the shared snapshot into block[1]; a post of -1 ends the job."""
+    """A forked scorer: each post scores the shared snapshot into block[1]; a post of -1 ends the job. It runs off
+    the CPU the run is on (field 39 of /proc/<pid>/stat), where the OS allows, and gives the worker its CPUs back."""
     val, block, ready, done, _ = _SHARED
-    score, parent = _scorer(proto, val, block[8 : 8 + proto.n_params]), os.getppid()
+    score, parent, cpus = _scorer(proto, val, block[8 : 8 + proto.n_params]), os.getppid(), None
+    try:  # on the run's CPU, the scorer and the training step can queue behind each other while the other CPU idles
+        with open(f"/proc/{parent}/stat") as fh:
+            cpus, on = os.sched_getaffinity(0), int(fh.read().rsplit(")", 1)[1].split()[36])
+        os.sched_setaffinity(0, cpus - {on} or cpus)
+    except (OSError, AttributeError):  # no /proc or sched_setaffinity; a CPU set the OS refuses
+        cpus = None
     while True:
         while not ready.acquire(False):  # polled: waking from a blocking wait costs what the overlap saves
             if os.getppid() != parent:  # the run died unsignalled (no prctl); on Linux the syscall paces the poll
                 os._exit(1)
         if block[0] < 0:
+            if cpus:  # the set the OS took a subset of: later client jobs in this worker use every CPU
+                os.sched_setaffinity(0, cpus)
             return
         block[1] = score()
         done.release()
@@ -437,26 +447,27 @@ class _Workers:
             raise type(e)(f"{label} {jobs[min(held)][0]}: {e}") from e
         return results
 
-    def start_scorer(self, proto: Prototype) -> bool:
-        """Start a scorer job for a fusion of proto, scoring self.snapshot at each post, if its validation pass pays."""
+    def scorer(self, proto: Prototype, val: Dataset) -> tuple:
+        """(snapshot, post, wait, end) for a fusion of proto: post() scores the values in snapshot, wait() returns that
+        score and end() ends the scorer. A forked job scores when the pool forks and proto's validation pass on the
+        pool's val pays; a dead one fails wait with BrokenProcessPool. Otherwise wait scores in-process."""
         w = proto.layer_widths
-        if len(self.val) * sum(a * b for a, b in zip(w, w[1:])) < _SCORE_MIN_WORK or not self._fork(2):
-            return False
-        self.job, self.snapshot = self.pool.submit(_score_job, proto), self.block[8 : 8 + proto.n_params]
-        return True
+        pays = val is self.val and len(val) * sum(a * b for a, b in zip(w, w[1:])) >= _SCORE_MIN_WORK  # the job's val
+        if not (pays and self._fork(2)):
+            snapshot = np.empty(proto.n_params)
+            return snapshot, lambda: None, _scorer(proto, val, snapshot), lambda: None
+        self.job = self.pool.submit(_score_job, proto)
 
-    def post(self, command: float = 1.0) -> None:  # 1 scores self.snapshot; -1 ends the scorer job, and waits
-        self.block[0] = command
-        self.ready.release()
-        if command < 0:
-            self.job.result()
+        def post(command: float = 1.0) -> None:  # 1 scores the snapshot; -1 ends the job
+            self.block[0] = command
+            self.ready.release()
 
-    def wait(self) -> float:
-        """The score of the last post, polled; a scorer that died raises BrokenProcessPool."""
-        while not self.done.acquire(False):
-            if self.job.done():
-                raise self.job.exception() or RuntimeError("the scorer job ended early")
-        return float(self.block[1])
+        def wait() -> float:  # polled
+            while not self.done.acquire(False):
+                if self.job.done():
+                    raise self.job.exception() or RuntimeError("the scorer job ended early")
+            return float(self.block[1])
+        return self.block[8 : 8 + proto.n_params], post, wait, lambda: post(-1.0) or self.job.result()
 
     def close(self) -> None:
         if self.pool is not None:
@@ -534,9 +545,9 @@ def feddf_fuse(
     teachers' checked forward checks the heldout rows once and each noise
     batch; targets are its softmax, not re-checked. Every step checks the
     student's logits and gradient (numerics._trainer). The student trains in
-    place; a copy of each step is scored through models._forward, by a
-    forked job when run_training's _workers has one for this student (see
-    the module docstring). The steps trained, result, cursor, rng state and errors
+    place; a copy of each step is scored through models._forward by the
+    scorer of _workers, or of an in-process _Workers() (see the module
+    docstring). The steps trained, result, cursor, rng state and errors
     equal a loop of numerics.grad, numerics.opt_step and top1_accuracy.
     """
     if not teachers:
@@ -576,31 +587,26 @@ def feddf_fuse(
             x = sample_distill_batch(pool, rng)
             step(x, teacher_targets(x))
 
-    piped = _workers is not None and _workers.start_scorer(student_proto)  # after the targets: the scorer spins
-    snapshot = _workers.snapshot if piped else np.empty_like(values)
-    try:
-        score = _scorer(student_proto, val, snapshot)
-        snapshot[:] = values
-        best_values, best_acc, best_step, ahead = init.values.copy(), score(), 0, False
-        for s in range(1, cfg.max_steps + 1):
+    snapshot, post, wait, end = (_workers or _Workers()).scorer(student_proto, val)  # after the targets: a scorer spins
+    try:  # step 0 scores init itself, which seeds the best snapshot
+        best_acc, best_step, ahead = -1.0, 0, True
+        for s in range(cfg.max_steps + 1):
             if not ahead:  # step s was not trained while step s-1 was scored
                 advance()
             snapshot[:] = values
-            acc = _workers.post() if piped else score()  # piped, the score comes from wait() below
+            post()
             ahead = s < cfg.max_steps and s - best_step < cfg.patience  # step s+1 runs whatever s scores
             try:
                 if ahead:
                     advance()
-            finally:  # an error waits for the pending score: the scorer never sees -1 while a post is in flight
-                if piped:
-                    acc = _workers.wait()
+            finally:  # an error waits for the pending score: the scorer never ends while a post is in flight
+                acc = wait()
             if acc > best_acc:
                 best_acc, best_values, best_step = acc, snapshot.copy(), s
             if s - best_step >= cfg.patience:
                 break
     finally:
-        if piped:
-            _workers.post(-1.0)
+        end()
     return ParamVector(proto, best_values), s, cursor
 
 

@@ -415,7 +415,8 @@ def load_experiment_config(path) -> ExperimentConfig:
     train, _ = _probe(lambda: split_train_val(blobs, cfg.val_fraction, 0), "dataset.val_fraction")
     _probe(lambda: dirichlet_partition(train.labels, PartitionSpec(cfg.alpha, cfg.clients, 0)), "federated.clients")
     if len(cfg.prototypes) > 1 and any(s != "feddf_hetero" for s in cfg.strategies):
-        raise ConfigError("multiple prototypes require strategy feddf_hetero only")
+        keys = "federated.prototypes or federated.strategies"  # _probe's form
+        raise ConfigError(f"bad value for {keys}: multiple prototypes require strategy feddf_hetero only")
     ends = [(w[0], w[-1]) for w in cfg.prototypes]  # the library's fit and grid rules read only these widths
     stand_ins = _probe(lambda: [Prototype(f"p{i}", w) for i, w in enumerate(ends)], "federated.prototypes")
     _probe(lambda: [_check_fits(p, blobs, "dataset") for p in stand_ins], "federated.prototypes")

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import fedfusion as ff
 from fedfusion._errors import ConfigError, ShapeError
 from fedfusion import flcore, numerics
-from fedfusion.models import ParamVector, Prototype, binarize_values, init_params, predict_logits
+from fedfusion.models import ParamVector, Prototype, binarize_values, init_params, predict_logits, unflatten
 from fedfusion.flcore import (
     DistillConfig,
     FLConfig,
@@ -254,6 +254,30 @@ def test_local_update_checks_a_shard_mutated_after_construction():
     shard.labels[-1] = proto.n_classes
     with pytest.raises(IndexError):
         client_local_update(start, shard, 1, 0.1, 4, np.random.default_rng(0))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_a_client_whose_gradient_overflows_under_finite_logits_fails_its_first_step(monkeypatch):
+    proto = Prototype("c", (2, 4, 3))
+    values = np.zeros(proto.n_params)
+    (w1, _), (w2, _) = unflatten(proto, values)
+    w1[:], w2[:, 0] = 1e-300, 1e300  # hidden units of 2e-291 give logits of 8e9; the first layer's gradient is inf
+    start, shard = ParamVector(proto, values), ff.Dataset(np.full((4, 2), 1e9), np.array([1, 2, 1, 2]), 3)
+    assert np.isfinite(predict_logits(start, shard.inputs)).all()
+    g = numerics.grad("ce", start, shard.inputs[:2], shard.labels[:2])
+    assert not np.isfinite(g).all()
+    with pytest.raises(ValueError, match="^gradient contains non-finite values$"):
+        numerics.opt_step(numerics.OptimizerState.sgd(0.1), start, g)
+    trainer, steps = numerics._trainer, []
+
+    def counted_trainer(*args, **kwargs):
+        step = trainer(*args, **kwargs)
+        return lambda x, target: steps.append(1) or step(x, target)
+
+    monkeypatch.setattr(numerics, "_trainer", counted_trainer)
+    with pytest.raises(ValueError, match="^gradient contains non-finite values$"):
+        client_local_update(start, shard, 3, 0.1, 2, np.random.default_rng(0))
+    assert len(steps) == 1
 
 
 def test_prox_pull_dominates_at_huge_mu():
@@ -567,6 +591,43 @@ def test_pipelined_fusion_stops_just_before_a_heldout_reshuffle(scorer_workers):
     assert_same_fusions(pipelined_and_serial_fuse(scorer_workers(val, [init.prototype]), teachers, init, cfg, val, seed))
 
 
+USABLE_CPUS = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or len(USABLE_CPUS) < 2, reason="needs 2+ usable CPUs on Linux")
+def test_the_scorer_runs_off_the_runs_cpu_and_gives_its_worker_the_cpus_back(tmp_path, monkeypatch):
+    monkeypatch.setattr(flcore, "_SCORE_MIN_WORK", 0)  # the host's real CPUs: sched_getaffinity is not faked here
+    main, make_scorer, seen = os.getpid(), flcore._scorer, tmp_path / "scorers"
+
+    def spy(proto, val, snapshot):  # a forked job appends its pid and CPUs to seen at its first score
+        score, calls = make_scorer(proto, val, snapshot), []
+
+        def recorded():
+            if os.getpid() != main and not calls:
+                calls.append(1)
+                with open(seen, "a") as fh:
+                    fh.write(f"{os.getpid()} {' '.join(map(str, sorted(os.sched_getaffinity(0))))}\n")
+            return score()
+        return recorded
+
+    monkeypatch.setattr(flcore, "_scorer", spy)
+    teachers, init, cfg, val = fusion_case("heldout", "relu", "full", "from_average", 400, 5)
+    workers, run_cpu = flcore._Workers(val, [init.prototype]), max(USABLE_CPUS)
+    try:
+        feddf_fuse(teachers, init, cfg, val, np.random.default_rng(8), (None, 0), workers)  # forks the pool's workers
+        os.sched_setaffinity(0, {run_cpu})  # the run's process stays on run_cpu through the next fusion
+        try:
+            feddf_fuse(teachers, init, cfg, val, np.random.default_rng(8), (None, 0), workers)
+        finally:
+            os.sched_setaffinity(0, USABLE_CPUS)
+        jobs = [line.split() for line in seen.read_text().splitlines()]
+        assert len(jobs) == 2 and workers.job.done()
+        assert {int(cpu) for cpu in jobs[1][1:]} == USABLE_CPUS - {run_cpu}
+        assert all(os.sched_getaffinity(int(pid)) == USABLE_CPUS for pid, *_ in jobs)  # each worker has its CPUs back
+    finally:
+        workers.close()
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(
     shape=training_shapes(),
@@ -728,9 +789,14 @@ def test_forked_clients_equal_the_serial_loop_bitwise(strategy, pooled_rounds):
 @pytest.mark.parametrize("strategy", ["feddf", "feddf_heldout", "feddf_gaussian", "feddf_previous", "feddf_hetero"])
 def test_pipelined_fusions_equal_the_serial_loop_bitwise(strategy, clients_forked, pooled_rounds, monkeypatch):
     monkeypatch.setattr(flcore, "_SCORE_MIN_WORK", 0)
-    piped = []
-    scorer = flcore._Workers.start_scorer
-    monkeypatch.setattr(flcore._Workers, "start_scorer", lambda self, proto: piped.append(scorer(self, proto)) or piped[-1])
+    piped, scorer = [], flcore._Workers.scorer
+
+    def spy(self, proto, val):  # records whether a forked job scores the fusion: its snapshot views the pool's block
+        out = scorer(self, proto, val)
+        piped.append(out[0].base is not None)
+        return out
+
+    monkeypatch.setattr(flcore._Workers, "scorer", spy)
     _, val, shards, proto = small_task()
     pool = {
         "feddf_heldout": ff.DistillPool.heldout(np.random.default_rng(3).normal(size=(45, 2)), 16),
@@ -748,7 +814,7 @@ def test_pipelined_fusions_equal_the_serial_loop_bitwise(strategy, clients_forke
     assert multiprocessing.active_children() == []
     fusions = len(piped)
     ref_state, ref_records, _ = serial_training(cfg, shards, val, prototypes, cmap)
-    assert len(piped) == fusions and len(pooled_rounds) == cfg.rounds  # the hand loop forked nothing
+    assert not any(piped[fusions:]) and len(pooled_rounds) == cfg.rounds  # the hand loop forked nothing
     assert records == ref_records
     assert {r.distill_steps for r in records} != {20}  # some fusions stop on patience
     assert all(np.array_equal(state.params[p].values, ref_state.params[p].values) for p in state.params)
@@ -798,9 +864,14 @@ print("children", len(multiprocessing.active_children()))
 """
 
 DIVERGING_STUDENT_RUN = PIPELINE_RUN + """
-piped = []
-scorer = flcore._Workers.start_scorer
-flcore._Workers.start_scorer = lambda self, proto: piped.append(scorer(self, proto)) or piped[-1]
+piped, scorer = [], flcore._Workers.scorer
+
+def spy(self, proto, val):  # records whether a forked job scores the fusion: its snapshot views the pool's block
+    out = scorer(self, proto, val)
+    piped.append(out[0].base is not None)
+    return out
+
+flcore._Workers.scorer = spy
 pipelined_error = run(30, base_lr=1e300)
 flcore._SCORE_MIN_WORK = float("inf")
 serial_error = run(30, base_lr=1e300)

@@ -320,8 +320,12 @@ class TestConfigLoading:
 
     def test_multiple_prototypes_need_hetero(self, tmp_path):
         path = write_config(tmp_path / "bad.ini", prototypes="prototypes = 2,8,3 | 2,12,3")
-        with pytest.raises(ConfigError, match="feddf_hetero"):
+        with pytest.raises(ConfigError) as err:
             load_experiment_config(path)
+        assert str(err.value) == (
+            "bad value for federated.prototypes or federated.strategies: "
+            "multiple prototypes require strategy feddf_hetero only"
+        )
 
     def test_prototype_width_must_match_data(self, tmp_path):
         path = write_config(tmp_path / "bad.ini", prototypes="prototypes = 3,8,3")
