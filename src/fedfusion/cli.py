@@ -55,6 +55,8 @@ def _cmd_bound_check(args) -> int:
 
 
 def _cmd_partition_stats(args) -> int:
+    if args.seed is not None and args.seed < 0:  # before the config: numpy's seed error would name nothing
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     cfg = load_experiment_config(args.config)
     seed = cfg.seeds[0] if args.seed is None else args.seed
     report = partition_report(cfg, seed)

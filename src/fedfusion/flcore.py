@@ -45,12 +45,14 @@ named for the client it held.
 
 feddf_fuse asks _Workers.scorer for its scorer. From a student whose score
 costs _SCORE_MIN_WORK (len(val) * sum(fan_in * fan_out)), a job in the same
-pool scores each step on a CPU the run is not on, while the fusion trains the
-next step if that step runs whatever the score is; smaller students score
-in-process. Both give the serial loop's steps, results and errors; a dead
-scorer fails the round, named for its prototype. While the
-pool runs, OpenBLAS keeps one thread; on Linux its workers die with the run.
-One CPU, no fork, a daemonic process, or run_round or feddf_fuse alone fork nothing.
+pool, handed the student's prototype and val, scores each step on a CPU the
+run is not on, while the fusion trains the next step if that step runs
+whatever the score is; smaller students score in-process. Both give the
+serial loop's steps, results and errors; a dead scorer fails the round, named
+for its prototype. The pool shares only its mailbox, a block and two
+semaphores. While it runs, OpenBLAS keeps one thread; on Linux its workers
+die with the run. One CPU, no fork, a daemonic process, or run_round or
+feddf_fuse alone fork nothing.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ _POOL_STREAM = 3
 _INIT_STREAM = 4
 _POOL_MIN_STEPS = 256  # a round's local SGD steps that pay for forking workers
 _SCORE_MIN_WORK = 50_000  # len(val) * sum(fan_in * fan_out) of a student that pays for a forked scorer
-_SHARED: list = []  # in a forked worker: the run's [val, block, ready, done] and its held-job cell, set by _join_run
+_SHARED: list = []  # in a forked worker: the run's [block, ready, done] and its held-job cell, set by _join_run
 
 
 def sampling_rng(seed: int, round_index: int) -> np.random.Generator:
@@ -373,14 +375,14 @@ def _join_run(parent: int, shared: list, joined) -> None:
 
 def _held_job(mark: int, fn, args: tuple):
     """fn(*args) in a forked worker, with mark (1 + the job's index in its map) in the worker's held-job cell."""
-    _SHARED[1][_SHARED[4]] = mark
+    _SHARED[0][_SHARED[3]] = mark
     return fn(*args)
 
 
-def _score_job(proto: Prototype) -> None:
-    """A forked scorer: each post scores the shared snapshot into block[1]; a post of -1 ends the job. It runs off
-    the CPU the run is on (field 39 of /proc/<pid>/stat), where the OS allows, and gives the worker its CPUs back."""
-    val, block, ready, done, _ = _SHARED
+def _score_job(proto: Prototype, val: Dataset) -> None:
+    """A forked scorer: each post scores the shared snapshot on val into block[1]; a post of -1 ends the job. Where
+    the OS allows, it runs off the run's CPU (field 39 of /proc/<pid>/stat) and gives the worker its CPUs back."""
+    block, ready, done, _ = _SHARED
     score, parent, cpus = _scorer(proto, val, block[8 : 8 + proto.n_params]), os.getppid(), None
     try:  # on the run's CPU, the scorer and the training step can queue behind each other while the other CPU idles
         with open(f"/proc/{parent}/stat") as fh:
@@ -401,16 +403,16 @@ def _score_job(proto: Prototype) -> None:
 
 
 class _Workers:
-    """run_training's fork pool, made at the first jobs or fusion worth a fork; one made without val never forks."""
+    """run_training's fork pool, made at the first jobs or fusion worth a fork; one without prototypes never forks."""
     pool = None
 
-    def __init__(self, val: Dataset | None = None, prototypes: list[Prototype] = ()) -> None:
-        self.val, self.size = val, max((p.n_params for p in prototypes), default=0)
+    def __init__(self, prototypes: list[Prototype] = ()) -> None:
+        self.size = max((p.n_params for p in prototypes), default=0)  # the largest snapshot a scorer reads
 
     def _fork(self, n: int) -> bool:
-        """Whether the pool runs; forks it with min(cpus, n) workers given a val, 2+ CPUs, fork and no daemon."""
+        """Whether the pool runs; forks it with min(cpus, n) workers given prototypes, 2+ CPUs, fork and no daemon."""
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-        if self.pool is None and self.val is not None and cpus >= 2:
+        if self.pool is None and self.size and cpus >= 2:
             import multiprocessing
             if "fork" in multiprocessing.get_all_start_methods() and not multiprocessing.current_process().daemon:
                 import mmap
@@ -419,7 +421,7 @@ class _Workers:
                 self.block = np.frombuffer(mmap.mmap(-1, 8 * (8 + self.size + n)))  # command, accuracy, 6 unused,
                 self.ready, self.done = fork.Semaphore(0), fork.Semaphore(0)  # snapshot, a held-job cell per worker
                 self.threads = _blas_threads(1)  # a second BLAS thread would fight the workers for their core
-                shared = [self.val, self.block, self.ready, self.done]
+                shared = [self.block, self.ready, self.done]
                 self.pool = ProcessPoolExecutor(n, fork, _join_run, (os.getpid(), shared, fork.Value("i", 0)))
         return self.pool is not None
 
@@ -449,14 +451,13 @@ class _Workers:
 
     def scorer(self, proto: Prototype, val: Dataset) -> tuple:
         """(snapshot, post, wait, end) for a fusion of proto: post() scores the values in snapshot, wait() returns that
-        score and end() ends the scorer. A forked job scores when the pool forks and proto's validation pass on the
-        pool's val pays; a dead one fails wait with BrokenProcessPool. Otherwise wait scores in-process."""
+        score and end() ends the scorer. A forked job, handed val, scores when proto's validation pass pays and the pool
+        forks; a dead one fails wait with BrokenProcessPool. Otherwise wait scores in-process."""
         w = proto.layer_widths
-        pays = val is self.val and len(val) * sum(a * b for a, b in zip(w, w[1:])) >= _SCORE_MIN_WORK  # the job's val
-        if not (pays and self._fork(2)):
+        if not (len(val) * sum(a * b for a, b in zip(w, w[1:])) >= _SCORE_MIN_WORK and self._fork(2)):
             snapshot = np.empty(proto.n_params)
             return snapshot, lambda: None, _scorer(proto, val, snapshot), lambda: None
-        self.job = self.pool.submit(_score_job, proto)
+        self.job = self.pool.submit(_score_job, proto, val)
 
         def post(command: float = 1.0) -> None:  # 1 scores the snapshot; -1 ends the job
             self.block[0] = command
@@ -729,7 +730,7 @@ def run_training(
     """
     state = ServerState.initialize(prototypes, cfg.seed)
     records: list[RoundRecord] = []
-    workers = _Workers(val, prototypes)
+    workers = _Workers(prototypes)
     try:
         for r in range(cfg.rounds):
             cap = capture_final if r == cfg.rounds - 1 else None

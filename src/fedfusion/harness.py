@@ -135,6 +135,14 @@ def _derive_seed(seed: int, tag: int) -> int:
 _REQUIRED = object()
 
 
+def _float(raw: str) -> float:
+    """The one cast for every float a config sets: a non-finite value is an error."""
+    value = float(raw)
+    if not np.isfinite(value):
+        raise ValueError(f"must be finite, got {raw.strip()}")
+    return value
+
+
 def _parse_bool(raw: str) -> bool:
     low = raw.lower()
     if low in ("true", "yes", "1", "on"):
@@ -156,16 +164,7 @@ def _parse_str_list(raw: str) -> list[str]:
 def _parse_centers(raw: str) -> np.ndarray | None:
     if raw.lower() in ("auto", "ring", ""):
         return None
-    points = []
-    for chunk in raw.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        points.append([float(v) for v in chunk.split(",")])
-    arr = np.array(points, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError("centers must be 'auto' or 'x,y; x,y; ...'")
-    return arr
+    return np.array([[_float(v) for v in chunk.split(",")] for chunk in raw.split(";") if chunk.strip()])
 
 
 def _parse_widths_list(raw: str) -> list[tuple[int, ...]]:
@@ -184,17 +183,14 @@ def _or_none(cast):
 
 
 def _parse_drop_threshold(raw: str) -> float | str:
-    return "auto" if raw.lower() == "auto" else float(raw)
+    return "auto" if raw.lower() == "auto" else _float(raw)
 
 
 def _parse_grid(raw: str) -> tuple[float, float, int]:
-    parts = [tok.strip() for tok in raw.split(",")]
+    parts = raw.split(",")
     if len(parts) != 3:
         raise ValueError("grid must be 'lo,hi,resolution' or 'none'")
-    lo, hi, res = float(parts[0]), float(parts[1]), int(parts[2])
-    if not lo < hi or res < 2:
-        raise ValueError("grid needs lo < hi and resolution >= 2")
-    return lo, hi, res
+    return _float(parts[0]), _float(parts[1]), int(parts[2])
 
 
 def _parse_target(raw: str) -> tuple[str, float]:
@@ -206,9 +202,7 @@ def _parse_target(raw: str) -> tuple[str, float]:
     mode = mode.strip().lower()
     if mode not in ("relative", "absolute"):
         raise ValueError(f"unknown target mode {mode!r}")
-    if not np.isfinite(float(value)):
-        raise ValueError(f"target value must be finite, got {value.strip()}")
-    return mode, float(value)
+    return mode, _float(value)
 
 
 def _parse_count_or_random(raw: str) -> int | None:
@@ -266,34 +260,34 @@ _EXPERIMENT_SCHEMA = (
     _Key("experiment", "output", str, echo=()),
     _Key("dataset", "classes", int, check=_at_least(2)),
     _Key("dataset", "per_class", int, check=_at_least(1)),
-    _Key("dataset", "scale", float),
+    _Key("dataset", "scale", _float),
     _Key("dataset", "centers", _parse_centers, None),
     _Key("dataset", "test_per_class", int, None, _at_least(1)),  # None: per_class
-    _Key("dataset", "val_fraction", float, 0.15, _in_open_unit_interval),
+    _Key("dataset", "val_fraction", _float, 0.15),
     _Key("dataset", "save", _parse_bool, False, echo=()),
-    _Key("partition", "alpha", float),
-    _Key("federated", "rounds", int),
+    _Key("partition", "alpha", _float),
+    _Key("federated", "rounds", int, check=_at_least(1)),
     _Key("federated", "clients", int),
-    _Key("federated", "participation", float),
+    _Key("federated", "participation", _float),
     _Key("federated", "local_epochs", int),
-    _Key("federated", "local_lr", float),
+    _Key("federated", "local_lr", _float),
     _Key("federated", "local_batch", int),
     _Key("federated", "strategies", _parse_str_list, check=_check_strategies),
     _Key("federated", "prototypes", _parse_widths_list),
     _Key("federated", "activation", str, "relu"),
     _Key("federated", "precision", str, "full"),
-    _Key("federated", "prox_mu", float, 0.0),
-    _Key("federated", "server_momentum", float, 0.0),
+    _Key("federated", "prox_mu", _float, 0.0),
+    _Key("federated", "server_momentum", _float, 0.0),
     _Key("federated", "drop_threshold", _or_none(_parse_drop_threshold), None),  # "auto": 1.1 / classes
     _Key("distillation", "max_steps", int),
     _Key("distillation", "patience", int),
-    _Key("distillation", "base_lr", float, 1e-3),
+    _Key("distillation", "base_lr", _float, 1e-3),
     _Key("distillation", "init_mode", str, "from_average"),
     _Key("distillation", "pool", str, "heldout", _one_of(*POOL_KINDS)),
     _Key("distillation", "pool_size", int, 256, _at_least(1)),
     _Key("distillation", "batch_size", int, 64),
-    _Key("distillation", "noise_low", float, -3.0),
-    _Key("distillation", "noise_high", float, 3.0),
+    _Key("distillation", "noise_low", _float, -3.0),
+    _Key("distillation", "noise_high", _float, 3.0),
     _Key("evaluation", "target", _parse_target, ("none", 0.0), echo=("target_mode", "target_value")),
     _Key("evaluation", "centralized_epochs", int, 50, _at_least(0)),
     _Key("evaluation", "grid", _or_none(_parse_grid), None),
@@ -304,7 +298,7 @@ _BOUND_SCHEMA = (
     _Key("bound", "family", str, "mixed", _one_of("mixed", *bound_mod.FAMILIES)),
     _Key("bound", "grid_size", int, 15, _at_least(1)),
     _Key("bound", "ref_size", int, 20000, _at_least(1)),
-    _Key("bound", "delta", float, 0.05, _in_open_unit_interval),
+    _Key("bound", "delta", _float, 0.05, _in_open_unit_interval),
     _Key("bound", "seed", int, 0, _at_least(0)),
     _Key("bound", "k_clients", _parse_count_or_random, None, _at_least(1)),
     _Key("bound", "m", _parse_count_or_random, None, _at_least(1)),
@@ -420,8 +414,9 @@ def load_experiment_config(path) -> ExperimentConfig:
     ends = [(w[0], w[-1]) for w in cfg.prototypes]  # the library's fit and grid rules read only these widths
     stand_ins = _probe(lambda: [Prototype(f"p{i}", w) for i, w in enumerate(ends)], "federated.prototypes")
     _probe(lambda: [_check_fits(p, blobs, "dataset") for p in stand_ins], "federated.prototypes")
-    if cfg.grid is not None:
-        _probe(lambda: decision_boundary_grid(init_params(stand_ins[0], 0), cfg.grid[:2], 2), "evaluation.grid")
+    if cfg.grid is not None:  # the export's rules on lo, hi and the resolution, checked on at most a 2x2 grid
+        lo, hi, res = cfg.grid
+        _probe(lambda: decision_boundary_grid(init_params(stand_ins[0], 0), (lo, hi), min(res, 2)), "evaluation.grid")
     _probe(lambda: [Prototype("p", widths) for widths in cfg.prototypes], "federated.prototypes")
     _probe(lambda: Prototype("p", cfg.prototypes[0], cfg.activation), "federated.activation")
     _probe(cfg.make_prototypes, "federated.precision")
@@ -567,8 +562,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
         for strategy in cfg.strategies:
             flcfg = _build_fl_config(cfg, strategy, seed, data.pool_inputs)
-            want_capture = cfg.grid is not None and strategy != "feddf_hetero"
-            capture: dict | None = {} if want_capture else None
+            capture = {} if cfg.grid is not None and strategy != "feddf_hetero" else None
             try:
                 state, records = run_training(
                     flcfg, data.shards, data.val, cfg.make_prototypes(), cfg.client_prototype_map(), capture
@@ -583,21 +577,19 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             if cfg.grid is not None:
                 lo, hi, res = cfg.grid
                 grids = [(f"fused_grid_{pid}.csv", pv) for pid, pv in sorted(state.params.items())]
-                if capture and "averaged" in capture:
+                if capture:
                     grids.append(("averaged_grid.csv", capture["averaged"]))
                 if capture and cfg.grid_clients:
-                    grids += [(f"client{k}_grid.csv", m) for k, m in sorted(capture.get("client_models", {}).items())]
+                    grids += [(f"client{k}_grid.csv", m) for k, m in sorted(capture["client_models"].items())]
                 for name, model in grids:
                     save_boundary_grid(*decision_boundary_grid(model, (lo, hi), res), run_dir / name)
             test_accs = {pid: top1_accuracy(p, data.test) for pid, p in sorted(state.params.items())}
             results[strategy][str(seed)] = {
                 "rounds_to_target": None if mode == "none" else rounds_to_target(records, target),
-                "final_acc_averaged": records[-1].acc_averaged if records else None,
-                "final_acc_fused": records[-1].acc_fused if records else None,
-                "final_acc_ensemble": records[-1].acc_ensemble if records else None,
-                "mean_distill_steps": float(np.mean([r.distill_steps for r in records]))
-                if records
-                else 0.0,
+                "final_acc_averaged": records[-1].acc_averaged,
+                "final_acc_fused": records[-1].acc_fused,
+                "final_acc_ensemble": records[-1].acc_ensemble,
+                "mean_distill_steps": float(np.mean([r.distill_steps for r in records])),
                 "test_acc_fused": float(np.mean(list(test_accs.values()))),
                 "test_acc_per_prototype": test_accs,
             }

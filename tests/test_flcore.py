@@ -86,7 +86,7 @@ def pooled_rounds(monkeypatch):
         try:
             return run_jobs(self, fn, jobs, label)
         finally:
-            if self.val is not None:  # run_training's workers; run_round called alone runs its jobs in-process
+            if self.size:  # run_training's workers, made with its prototypes; run_round alone runs its jobs in-process
                 pooled.append(bool(sent))
 
     monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "submit", lambda pool, *a: sent.append(1) or submit(pool, *a))
@@ -506,13 +506,13 @@ def test_feddf_fuse_equals_grad_opt_step_loop_bitwise(pool_kind, activation, pre
 
 @pytest.fixture
 def scorer_workers(monkeypatch):
-    """make(val, prototypes): a _Workers that scores every fusion in a forked job, on any host."""
+    """make(prototypes): a _Workers that scores every fusion in a forked job, on any host."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(flcore, "_SCORE_MIN_WORK", 0)
     made = []
 
-    def make(val, prototypes):
-        made.append(flcore._Workers(val, prototypes))
+    def make(prototypes):
+        made.append(flcore._Workers(prototypes))
         return made[-1]
 
     yield make
@@ -544,7 +544,7 @@ def assert_same_fusions(runs):
 @pytest.mark.parametrize("pool_kind, activation, precision, init_mode, max_steps, patience", FUSION_CASES)
 def test_pipelined_fusion_equals_the_serial_loop_bitwise(pool_kind, activation, precision, init_mode, max_steps, patience, scorer_workers):
     teachers, init, cfg, val = fusion_case(pool_kind, activation, precision, init_mode, max_steps, patience)
-    runs = pipelined_and_serial_fuse(scorer_workers(val, [init.prototype]), teachers, init, cfg, val, 8)
+    runs = pipelined_and_serial_fuse(scorer_workers([init.prototype]), teachers, init, cfg, val, 8)
     assert_same_fusions(runs)
     assert runs[0][0][1] == max_steps if patience == max_steps else runs[0][0][1] < max_steps
 
@@ -554,7 +554,7 @@ def test_a_fusion_trains_exactly_the_steps_it_returns(piped, scorer_workers, mon
     teachers, init, cfg, val = fusion_case("heldout", "relu", "full", "from_average", 400, 5)
     ref, ref_steps, ref_cursor = reference_fuse(teachers, init, cfg, val, np.random.default_rng(8))
     assert ref_steps < cfg.max_steps  # a patience stop: step ref_steps + 1 would have room to run
-    workers = scorer_workers(val, [init.prototype]) if piped else None
+    workers = scorer_workers([init.prototype]) if piped else None
     trainer, fail_at, calls = numerics._trainer, [], []
 
     def failing_trainer(*args):
@@ -588,7 +588,14 @@ def test_pipelined_fusion_stops_just_before_a_heldout_reshuffle(scorer_workers):
             break
     else:
         pytest.fail("no seed stops just before a reshuffle")
-    assert_same_fusions(pipelined_and_serial_fuse(scorer_workers(val, [init.prototype]), teachers, init, cfg, val, seed))
+    assert_same_fusions(pipelined_and_serial_fuse(scorer_workers([init.prototype]), teachers, init, cfg, val, seed))
+
+
+def test_the_scorer_job_scores_on_the_validation_set_it_is_handed(scorer_workers):
+    """Any validation set, such as a copy of the run's, is scored by the forked job with the serial loop's bits."""
+    teachers, init, cfg, val = fusion_case("heldout", "relu", "full", "from_average", 400, 5)
+    copy = val.subset(np.arange(len(val)))
+    assert_same_fusions(pipelined_and_serial_fuse(scorer_workers([init.prototype]), teachers, init, cfg, copy, 8))
 
 
 USABLE_CPUS = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
@@ -612,7 +619,7 @@ def test_the_scorer_runs_off_the_runs_cpu_and_gives_its_worker_the_cpus_back(tmp
 
     monkeypatch.setattr(flcore, "_scorer", spy)
     teachers, init, cfg, val = fusion_case("heldout", "relu", "full", "from_average", 400, 5)
-    workers, run_cpu = flcore._Workers(val, [init.prototype]), max(USABLE_CPUS)
+    workers, run_cpu = flcore._Workers([init.prototype]), max(USABLE_CPUS)
     try:
         feddf_fuse(teachers, init, cfg, val, np.random.default_rng(8), (None, 0), workers)  # forks the pool's workers
         os.sched_setaffinity(0, {run_cpu})  # the run's process stays on run_cpu through the next fusion
@@ -883,9 +890,9 @@ print("children", len(multiprocessing.active_children()))
 KILLED_RUN = PIPELINE_RUN + """
 score_job = flcore._score_job
 
-def announced_job(proto):
+def announced_job(proto, val):
     print("scorer", os.getpid(), flush=True)
-    score_job(proto)
+    score_job(proto, val)
 
 flcore._score_job = announced_job
 run(10**7)  # a fusion that outlasts the test

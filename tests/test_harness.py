@@ -1,14 +1,18 @@
 """Tests for the experiment harness: configs, metrics files, grids, CLI."""
 
 import configparser
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fedfusion._errors import ConfigError, ShapeError
 from fedfusion.cli import main as cli_main
@@ -431,6 +435,21 @@ class TestConfigLoading:
         path = write_config(tmp_path / "bad.ini", target=f"target = {target}")
         with pytest.raises(ConfigError, match="evaluation.target.*must be finite"):
             load_experiment_config(path)
+
+    @pytest.mark.parametrize(
+        "name, lines, message",
+        [
+            ("val_fraction", "val_fraction = 1.5", "dataset.val_fraction: val_fraction must lie strictly between 0 and 1"),
+            ("target", "target = none\ngrid = 3,-3,10", "evaluation.grid: bounds must satisfy lo < hi, got (3.0, -3.0)"),
+            ("target", "target = none\ngrid = -3,3,1", "evaluation.grid: resolution must be >= 2"),
+            # "centers = ;" would be an inline comment: the value ";" needs the semicolon next to "="
+            ("scale", "scale = 0.6\ncenters =;", "dataset.centers: centers must have shape (3, dim), got (0,)"),
+        ],
+    )
+    def test_a_rule_the_parsers_leave_to_the_library_names_its_key(self, tmp_path, name, lines, message):
+        with pytest.raises(ConfigError) as err:
+            load_experiment_config(write_config(tmp_path / "bad.ini", **{name: lines}))
+        assert str(err.value) == f"bad value for {message}"
 
     @pytest.mark.parametrize(
         "line, key",
@@ -867,6 +886,33 @@ class TestCli:
         assert err.startswith("config error:") and key in err
         assert not (tmp_path / "out").exists() and not (tmp_path / "bout").exists()
 
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("federated", "rounds", "0", "federated.rounds must be >= 1, got 0"),
+            ("distillation", "noise_low", "nan", "bad value for distillation.noise_low: 'nan' (must be finite, got nan)"),
+            ("federated", "prox_mu", "nan", "bad value for federated.prox_mu: 'nan' (must be finite, got nan)"),
+            ("federated", "server_momentum", "inf", "bad value for federated.server_momentum: 'inf' (must be finite, got inf)"),
+        ],
+    )
+    def test_a_value_no_run_can_report_fails_at_load(self, tmp_path, capsys, section, key, value, message):
+        """The README config with one line changed: each of these used to train every arm and then exit 2."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        parser.read_string(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+        parser["experiment"]["output"] = str(tmp_path / "out")
+        parser[section][key] = value
+        with open(tmp_path / "bad.ini", "w") as fh:
+            parser.write(fh)
+        assert cli_main(["run", str(tmp_path / "bad.ini")]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_partition_stats_refuses_a_negative_seed(self, tmp_path, capsys):
+        assert cli_main(["partition-stats", str(write_config(tmp_path / "exp.ini")), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "config error: --seed must be >= 0, got -1\n"
+        assert not (tmp_path / "out").exists()
+
     def test_parallel_flag_is_gone(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as info:
             cli_main(["run", str(write_config(tmp_path / "exp.ini")), "--parallel"])
@@ -894,3 +940,101 @@ class TestCli:
         )
         assert proc.returncode == 1
         assert proc.stderr.startswith("config error:")
+
+
+# a small valid config that sets every experiment key but experiment.output; the strategies read every key
+EDGE_BASE = {
+    "experiment.schema_version": "1",
+    "experiment.seeds": "0",
+    "dataset.classes": "3",
+    "dataset.per_class": "30",
+    "dataset.scale": "0.6",
+    "dataset.centers": "0,0; 2,0; 0,2",
+    "dataset.test_per_class": "10",
+    "dataset.val_fraction": "0.2",
+    "dataset.save": "true",
+    "partition.alpha": "1.0",
+    "federated.rounds": "2",
+    "federated.clients": "3",
+    "federated.participation": "1.0",
+    "federated.local_epochs": "1",
+    "federated.local_lr": "0.05",
+    "federated.local_batch": "16",
+    "federated.strategies": "fedavg, fedprox, fedavgm, feddf",
+    "federated.prototypes": "2,8,3",
+    "federated.activation": "relu",
+    "federated.precision": "full",
+    "federated.prox_mu": "0.01",
+    "federated.server_momentum": "0.5",
+    "federated.drop_threshold": "0.2",
+    "distillation.max_steps": "4",
+    "distillation.patience": "2",
+    "distillation.base_lr": "0.001",
+    "distillation.init_mode": "from_average",
+    "distillation.pool": "heldout",
+    "distillation.pool_size": "16",
+    "distillation.batch_size": "8",
+    "distillation.noise_low": "-3",
+    "distillation.noise_high": "3",
+    "evaluation.target": "relative:0.9",
+    "evaluation.centralized_epochs": "2",
+    "evaluation.grid": "-3,3,3",
+    "evaluation.grid_clients": "true",
+}
+EDGE_TOKENS = ("0", "-1", "nan", "inf", "1e300", "")
+
+
+@st.composite
+def edge_value(draw, base: str) -> str:
+    """base with an edge token for its whole value or for one number in it, repeated, or with stray spaces.
+    No edit enlarges a size: 1e300 in an int key fails its cast, and a repeated entry is a duplicate."""
+    kind = draw(st.sampled_from(["whole", "number", "repeated", "spaces_around", "space_inside"]))
+    numbers = list(re.finditer(r"-?[0-9.]+", base))
+    if kind == "number" and numbers:
+        at = draw(st.sampled_from(numbers))
+        return base[: at.start()] + draw(st.sampled_from(EDGE_TOKENS)) + base[at.end() :]
+    if kind == "repeated":
+        return f"{base}, {base}"
+    if kind == "spaces_around":
+        return f"  {base.replace(',', ' , ')}  "
+    if kind == "space_inside":
+        at = draw(st.integers(1, max(1, len(base) - 1)))
+        return f"{base[:at]} {base[at:]}"
+    return draw(st.sampled_from(EDGE_TOKENS))
+
+
+def strict_json(text: str):
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_every_key_has_a_value_in_the_edge_base():
+    assert set(EDGE_BASE) == {f"{r.section}.{r.key}" for r in _EXPERIMENT_SCHEMA} - {"experiment.output"}
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(keys=st.lists(st.sampled_from(sorted(EDGE_BASE)), min_size=1, max_size=3, unique=True), data=st.data())
+def test_a_config_with_edge_values_exits_0_with_strict_json_or_1_at_load(tmp_path_factory, keys, data):
+    """Exit 0 with strict-JSON artifacts, or exit 1 at load naming an edited key; exit 2 only for divergence."""
+    values = {**EDGE_BASE, **{key: data.draw(edge_value(EDGE_BASE[key]), label=key) for key in keys}}
+    root = tmp_path_factory.mktemp("edge")
+    sections = {"experiment": [f"output = {root / 'out'}"]}
+    for name, value in values.items():
+        section, key = name.split(".")
+        sections.setdefault(section, []).append(f"{key} = {value}")
+    (root / "exp.ini").write_text("".join(f"[{s}]\n" + "\n".join(lines) + "\n\n" for s, lines in sections.items()))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli_main(["run", str(root / "exp.ini")])
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == []
+        strict_json((root / "out" / "summary.json").read_text())
+        for metrics in (root / "out").glob("seed*/*/metrics.jsonl"):
+            [strict_json(line) for line in metrics.read_text().splitlines()]
+    elif code == 1:
+        assert len(lines) == 1 and lines[0].startswith("config error: ") and any(k in lines[0] for k in keys)
+        assert not (root / "out").exists()  # refused before any data work
+    else:  # divergence, until a diverging client or student has an outcome of its own
+        assert code == 2 and len(lines) == 1 and lines[0].startswith("error: ") and "non-finite values" in lines[0]
