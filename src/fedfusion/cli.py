@@ -4,9 +4,9 @@
     fedfusion bound-check <config.ini>      evaluate the generalization bound suite
     fedfusion partition-stats <config.ini>  report per-client label skew
 
-Exit codes: 0 success, 1 configuration error, 2 runtime error. Output goes
-under the config's output directory (or FEDFUSION_OUTPUT_ROOT when set).
-Nothing nondeterministic is printed.
+Exit codes: 0 success, 1 configuration error, 2 runtime error, 130 interrupted
+(SIGINT, as from Ctrl-C). Output goes under the config's output directory (or
+FEDFUSION_OUTPUT_ROOT when set). Nothing nondeterministic is printed.
 """
 
 from __future__ import annotations
@@ -99,3 +99,6 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:  # run_training's pool has joined its workers by now
+        print("interrupted", file=sys.stderr)
+        return 130

@@ -2,24 +2,22 @@
 
 Strategies
 ----------
-fedavg        sample clients, local SGD, shard-size weighted parameter average.
-fedprox       fedavg whose local gradients add mu * (x - x_start), pulling each
-              client toward the round's start model; mu = 0 takes the exact
-              fedavg code path.
-fedavgm       fedavg plus server momentum: v' = beta * v + (x_prev - avg),
-              x' = avg - beta * v. beta = 0 reduces to fedavg bit for bit.
-feddf         fedavg's average, then refined by distilling the ensemble of
-              received client models into it on unlabeled inputs.
-feddf_hetero  feddf across several model prototypes: each prototype's student
-              starts from its own group average and distills against the
-              ensemble of every received model.
+fedavg   sample clients, local SGD, shard-size weighted parameter average.
+fedprox  fedavg whose local gradients add mu * (x - x_start), pulling each
+         client toward the round's start model; mu = 0 takes the exact
+         fedavg code path.
+fedavgm  fedavg plus server momentum: v' = beta * v + (x_prev - avg),
+         x' = avg - beta * v. beta = 0 reduces to fedavg bit for bit.
+feddf    fedavg's average, then refined by distilling the ensemble of
+         received client models into it on unlabeled inputs.
 
-All five strategies share one round loop, run_round, which applies the
-strategy to each prototype group's average of surviving clients.
-run_training stamps each RoundRecord with the round's wall time (wall_ms);
-per-prototype accuracies are recorded for feddf_hetero only. Each sampled
-model's validation logits are computed once per round; the drop filter and
-the ensemble accuracy are both read from them.
+All four strategies share one round loop, run_round, and run on one prototype
+or on several: clients go to prototypes round-robin unless a map is given, and
+the strategy applies to each prototype's average of surviving clients (feddf's
+student distills against every surviving model). run_training stamps each
+RoundRecord with the round's wall time (wall_ms); per-prototype accuracies are
+recorded for several prototypes. Each sampled model's validation logits are
+computed once per round; the drop filter and the ensemble accuracy read them.
 
 Local SGD (client_local_update, and through it the centralized reference)
 and distillation (feddf_fuse) check their fixed data once, then feed
@@ -79,8 +77,7 @@ from .models import (
     unflatten,
 )
 
-STRATEGIES = ("fedavg", "fedprox", "fedavgm", "feddf", "feddf_hetero")
-DISTILLING = ("feddf", "feddf_hetero")  # the strategies that fuse by distillation
+STRATEGIES = ("fedavg", "fedprox", "fedavgm", "feddf")
 
 # stream tags keep derived RNG streams disjoint from each other
 _SAMPLE_STREAM = 1
@@ -165,6 +162,7 @@ class FLConfig:
             raise ConfigError("local_lr must be finite and positive")
         if self.local_batch < 1:
             raise ConfigError("local_batch must be >= 1")
+        self.strategy = "feddf" if self.strategy == "feddf_hetero" else self.strategy  # bench/workloads.py's fusion-hetero
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
         if self.seed < 0:
@@ -177,7 +175,7 @@ class FLConfig:
             raise ConfigError("server_momentum must lie in [0, 1)")
         if self.server_momentum != 0.0 and self.strategy != "fedavgm":
             raise ConfigError("server_momentum is only meaningful for strategy 'fedavgm'")
-        needs_distill = self.strategy in DISTILLING
+        needs_distill = self.strategy == "feddf"
         if needs_distill and self.distill is None:
             raise ConfigError(f"strategy {self.strategy!r} requires a distill config")
         if not needs_distill and self.distill is not None:
@@ -221,7 +219,8 @@ class ServerState:
 class RoundRecord:
     """Per-round metrics.
 
-    per_prototype is filled for feddf_hetero only and empty otherwise.
+    per_prototype is filled when the run has several prototypes and is empty
+    for one.
     wall_ms is the round's wall time, stamped by run_training; it is left out
     of as_dict() and of equality, since it differs between identical runs.
     """
@@ -367,6 +366,7 @@ def _join_run(parent: int, shared: list, joined) -> None:
     with joined.get_lock():  # joined counts the workers so far; each holds the joined-th cell from the block's end
         joined.value += 1
         _SHARED.extend(shared + [-joined.value])
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # a Ctrl-C reaches the whole process group; the run ends its workers
     signal.signal(signal.SIGTERM, lambda *args: _held_job(0, os._exit, (1,)))  # a broken pool ends live workers so
     getattr(ctypes.CDLL(None), "prctl", lambda *args: 0)(1, ctypes.c_ulong(9))  # PR_SET_PDEATHSIG, SIGKILL
     if os.getppid() != parent:  # the run died before the call
@@ -622,32 +622,24 @@ def run_round(
 ) -> tuple[ServerState, RoundRecord]:
     """One round of any strategy; returns (new state, record).
 
-    client_prototypes maps client id -> prototype id (None: the single
-    prototype). Surviving clients are averaged per prototype group, weighted
-    by shard size; the strategy then keeps each average (fedavg, fedprox),
-    applies server momentum (fedavgm), or distills the ensemble of every
-    surviving model into a student started from it (feddf, feddf_hetero).
-    Prototypes without a surviving client keep their parameters. capture
-    receives "client_models" and the group average "averaged" (the last
-    group's when there are several).
+    client_prototypes maps client id -> prototype id (None: client k gets the
+    (k % len)-th prototype of state.params, round-robin). Surviving clients
+    are averaged per prototype group, weighted by shard size; the strategy then
+    keeps each average (fedavg, fedprox), applies the group's server momentum
+    (fedavgm), or distills the ensemble of every surviving model into a student
+    started from it (feddf). Prototypes without a surviving client keep their
+    parameters. capture receives "client_models" and the group average
+    "averaged" (the last group's when there are several).
     """
     if state.seed != cfg.seed:
         raise ConfigError(f"state seed {state.seed} != config seed {cfg.seed}")
     if len(shards) != cfg.client_count:
         raise ConfigError(f"{cfg.client_count} clients but {len(shards)} shards")
-    hetero = cfg.strategy == "feddf_hetero"
-    if not hetero and len(state.params) != 1:
-        raise ConfigError(
-            f"strategy {cfg.strategy!r} needs exactly one prototype, got {len(state.params)}"
-        )
     if client_prototypes is None:
-        if hetero:
-            raise ConfigError("feddf_hetero needs a client_prototypes map")
-        client_prototypes = list(state.params) * cfg.client_count
+        pids = list(state.params)
+        client_prototypes = [pids[k % len(pids)] for k in range(cfg.client_count)]
     if len(client_prototypes) != cfg.client_count:
-        raise ConfigError(
-            f"client_prototypes maps {len(client_prototypes)} clients, expected {cfg.client_count}"
-        )
+        raise ConfigError(f"client_prototypes maps {len(client_prototypes)} clients, expected {cfg.client_count}")
     unknown = sorted(set(client_prototypes) - set(state.params))
     if unknown:
         raise ConfigError(f"client_prototypes references undeclared prototypes {unknown}")
@@ -682,7 +674,7 @@ def run_round(
             new_values = avg.values if beta == 0.0 else avg.values - beta * v_prev
             new = ParamVector(x_prev.prototype, new_values)
             velocity[pid] = beta * v_prev + (x_prev.values - avg.values)
-        elif cfg.distill is not None:  # feddf, feddf_hetero
+        elif cfg.distill is not None:  # feddf
             init = avg if cfg.distill.init_mode == "from_average" else x_prev
             try:
                 new, steps, cursor = feddf_fuse(kept_models, init, cfg.distill, val, prng, cursor, _workers)
@@ -709,7 +701,7 @@ def run_round(
         acc_fused=float(np.mean([d["acc_fused"] for d in per_proto.values()])),
         acc_ensemble=acc_ens,
         distill_steps=distill_steps,
-        per_prototype=per_proto if hetero else {},
+        per_prototype=per_proto if len(state.params) > 1 else {},
     )
     return ServerState(new_params, velocity, t, state.seed, cursor), record
 

@@ -42,7 +42,6 @@ from .data import (
     split_train_val,
 )
 from .flcore import (
-    DISTILLING,
     STRATEGIES,
     DistillConfig,
     FLConfig,
@@ -58,10 +57,20 @@ from .numerics import softmax
 SCHEMA_VERSION = 1
 OUTPUT_ENV_VAR = "FEDFUSION_OUTPUT_ROOT"
 
+def _write_text(path: Path, text: str) -> None:
+    """Write text to path through a temporary file beside it and os.replace: path holds its old bytes or the new."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_metrics(records: list[RoundRecord], path) -> None:
-    """One JSON line per record; a non-finite value raises ValueError before the file is opened."""
+    """One JSON line per record; a non-finite value raises ValueError before any file is opened."""
     rows = [json.dumps({**rec.as_dict(), "wall_ms": rec.wall_ms}, sort_keys=True, allow_nan=False) for rec in records]
-    Path(path).write_text("".join(row + "\n" for row in rows))
+    _write_text(Path(path), "".join(row + "\n" for row in rows))
 
 
 def read_metrics(path) -> list[RoundRecord]:
@@ -116,11 +125,11 @@ def save_boundary_grid(xs: np.ndarray, ys: np.ndarray, probs: np.ndarray, path) 
 
 
 def _write_json(obj: dict, path: Path) -> dict:
-    """Write obj as a JSON artifact (sorted keys, indent 2, trailing newline); return obj.
+    """Write obj as a JSON artifact (sorted keys, indent 2, trailing newline) through _write_text; return obj.
     A non-finite value, which JSON cannot hold, raises ValueError and writes nothing."""
     text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    _write_text(path, text)
     return obj
 
 
@@ -314,7 +323,7 @@ def _load(path, schema: tuple[_Key, ...], cfg, needed=lambda section, cfg: True)
     a failed check is a ConfigError naming the key. Rows are read in order; a
     section for which needed(section, cfg) is false is not read at all.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))  # a ";" is part of the value
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -350,21 +359,14 @@ class ExperimentConfig(SimpleNamespace):
     """Experiment settings, one attribute per _EXPERIMENT_SCHEMA key.
 
     Build one with load_experiment_config. The [distillation] attributes exist
-    only when distills() is true.
+    only when strategies include feddf.
     """
-
-    def distills(self) -> bool:
-        return any(s in DISTILLING for s in self.strategies)
 
     def make_prototypes(self) -> list[Prototype]:
         return [
             Prototype(f"p{i}", widths, self.activation, self.precision)
             for i, widths in enumerate(self.prototypes)
         ]
-
-    def client_prototype_map(self) -> list[str]:
-        ids = [p.id for p in self.make_prototypes()]
-        return [ids[k % len(ids)] for k in range(self.clients)]
 
     def public_dict(self) -> dict:
         """summary.json's config echo, derived from the schema rows.
@@ -397,7 +399,7 @@ def load_experiment_config(path) -> ExperimentConfig:
         path,
         _EXPERIMENT_SCHEMA,
         ExperimentConfig(),
-        lambda section, cfg: section != "distillation" or cfg.distills(),
+        lambda section, cfg: section != "distillation" or "feddf" in cfg.strategies,
     )
     if cfg.test_per_class is None:
         cfg.test_per_class = cfg.per_class
@@ -408,9 +410,6 @@ def load_experiment_config(path) -> ExperimentConfig:
     _probe(lambda: PartitionSpec(cfg.alpha, 1, 0), "partition.alpha")  # blobs stands in for a seed's data
     train, _ = _probe(lambda: split_train_val(blobs, cfg.val_fraction, 0), "dataset.val_fraction")
     _probe(lambda: dirichlet_partition(train.labels, PartitionSpec(cfg.alpha, cfg.clients, 0)), "federated.clients")
-    if len(cfg.prototypes) > 1 and any(s != "feddf_hetero" for s in cfg.strategies):
-        keys = "federated.prototypes or federated.strategies"  # _probe's form
-        raise ConfigError(f"bad value for {keys}: multiple prototypes require strategy feddf_hetero only")
     ends = [(w[0], w[-1]) for w in cfg.prototypes]  # the library's fit and grid rules read only these widths
     stand_ins = _probe(lambda: [Prototype(f"p{i}", w) for i, w in enumerate(ends)], "federated.prototypes")
     _probe(lambda: [_check_fits(p, blobs, "dataset") for p in stand_ins], "federated.prototypes")
@@ -447,7 +446,7 @@ def build_seed_data(cfg: ExperimentConfig, seed: int) -> SeedData:
     spec = PartitionSpec(cfg.alpha, cfg.clients, _derive_seed(seed, _TAG_PART))
     shards = [train.subset(ix) for ix in dirichlet_partition(train.labels, spec)]
     pool_inputs = None
-    if cfg.distills() and cfg.pool == "heldout":
+    if "feddf" in cfg.strategies and cfg.pool == "heldout":
         per = -(-cfg.pool_size // cfg.classes)
         pool_blobs = make_gaussian_blobs(
             cfg.classes, per, cfg.centers, cfg.scale, _derive_seed(seed, _TAG_POOL)
@@ -482,7 +481,7 @@ def _build_fl_config(
     """The arm's FLConfig, distillation pool included; built once per strategy at load too."""
     dim = cfg.prototypes[0][0]
     distill = None
-    if strategy in DISTILLING:
+    if strategy == "feddf":
         keys = ("distillation.batch_size", "distillation.noise_low", "distillation.noise_high")
         # each pool kind reads only the arguments it needs
         args = dict(inputs=pool_inputs, dim=dim, low=cfg.noise_low, high=cfg.noise_high)
@@ -562,11 +561,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
         for strategy in cfg.strategies:
             flcfg = _build_fl_config(cfg, strategy, seed, data.pool_inputs)
-            capture = {} if cfg.grid is not None and strategy != "feddf_hetero" else None
+            capture = {} if cfg.grid is not None and len(cfg.prototypes) == 1 else None
             try:
-                state, records = run_training(
-                    flcfg, data.shards, data.val, cfg.make_prototypes(), cfg.client_prototype_map(), capture
-                )
+                state, records = run_training(flcfg, data.shards, data.val, cfg.make_prototypes(), capture_final=capture)
             except (ValueError, RuntimeError) as e:  # run_round names the round and client or prototype
                 raise type(e)(f"seed {seed}, {strategy}: {e}") from e
             run_dir = seed_dir / strategy

@@ -413,7 +413,7 @@ def hetero_margins(seed: int) -> tuple[list[float], list[int]]:
         local_epochs=p["local_epochs"],
         local_lr=p["local_lr"],
         local_batch=p["local_batch"],
-        strategy="feddf_hetero",
+        strategy="feddf",
         seed=seed,
         distill=distill,
     )

@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -752,48 +753,65 @@ def test_diverging_client_error_names_round_and_client(make_cfg, pooled_rounds):
     assert multiprocessing.active_children() == []
 
 
-def serial_training(cfg, shards, val, prototypes, client_prototypes=None):
+def serial_training(cfg, shards, val, prototypes):
     """run_training as a hand loop of run_round calls, which train every client serially."""
     state, records, cap = ServerState.initialize(prototypes, cfg.seed), [], {}
     for _ in range(cfg.rounds):
-        state, rec = run_round(state, cfg, shards, val, client_prototypes, cap)
+        state, rec = run_round(state, cfg, shards, val, capture=cap)
         records.append(rec)
     return state, records, cap
 
 
-@pytest.mark.parametrize("strategy", ["fedavg", "fedprox", "fedavgm", "feddf", "feddf_heldout", "feddf_hetero"])
+@pytest.mark.parametrize(
+    "strategy",
+    ["fedavg", "fedprox", "fedavgm", "feddf", "feddf_heldout", "feddf_fleet", "fedavgm_fleet", "fedprox_fleet"],
+)
 def test_forked_clients_equal_the_serial_loop_bitwise(strategy, pooled_rounds):
     _, val, shards, proto = small_task()
+    strategy, fleet = strategy.removesuffix("_fleet"), strategy.endswith("_fleet")
     kw = dict(fedprox=dict(prox_mu=0.1), fedavgm=dict(server_momentum=0.5)).get(strategy, {})
-    prototypes, cmap = [proto], None
+    prototypes = [proto]
     if strategy.startswith("feddf"):
         kw["distill"] = DistillConfig(max_steps=20, patience=5, pool=uniform_pool())
     if strategy == "feddf_heldout":  # batches of 16 from 45 rows: epochs straddle fusions and rounds
         strategy, kw["distill"].pool = "feddf", ff.DistillPool.heldout(np.random.default_rng(3).normal(size=(45, 2)), 16)
-    if strategy == "feddf_hetero":
+    if fleet:  # clients a, b, a, b, a
         prototypes = [Prototype("a", (2, 12, 3), precision="binary_ste"), Prototype("b", (2, 8, 3))]
-        cmap, kw["drop_threshold"] = ["a", "b", "a", "b", "a"], 0.5
+        kw["drop_threshold"] = 0.5
     cfg = over_gate_cfg(strategy, **kw)
     cap = {}
-    state, records = run_training(cfg, shards, val, prototypes, cmap, capture_final=cap)
+    state, records = run_training(cfg, shards, val, prototypes, capture_final=cap)
     assert pooled_rounds == [True] * cfg.rounds
     assert multiprocessing.active_children() == []
-    ref_state, ref_records, ref_cap = serial_training(cfg, shards, val, prototypes, cmap)
+    ref_state, ref_records, ref_cap = serial_training(cfg, shards, val, prototypes)
     assert len(pooled_rounds) == cfg.rounds  # the hand loop made no pool
     assert records == ref_records
     assert all(np.array_equal(state.params[p].values, ref_state.params[p].values) for p in state.params)
+    assert all(np.array_equal(state.velocity[p], ref_state.velocity[p]) for p in state.params)
     assert same_cursor(state.pool_cursor, ref_state.pool_cursor)
     assert (0 < state.pool_cursor[1] < 45) if cfg.distill and cfg.distill.pool.kind == "heldout" else state.pool_cursor == (None, 0)
     assert cap["client_models"].keys() == ref_cap["client_models"].keys()
     for k, model in cap["client_models"].items():
         ref = ref_cap["client_models"][k]
         assert model.prototype == ref.prototype and np.array_equal(model.values, ref.values)
-    if strategy == "feddf_hetero":
-        assert any(rec.dropped for rec in records)
+    if not fleet:
+        return
+    assert any(rec.dropped for rec in records) and {m.prototype.id for m in cap["client_models"].values()} == {"a", "b"}
+    before, _, _ = serial_training(replace(cfg, rounds=cfg.rounds - 1), shards, val, prototypes)
+    kept = [k for k in cap["client_models"] if k not in records[-1].dropped]
+    for pid in state.params:  # the last round from the state before it, one prototype group at a time
+        group = [k for k in kept if k % 2 == "ab".index(pid)]
+        assert group and pid in records[-1].per_prototype  # both groups survive the last round
+        for k in group:  # each client's start, and FedProx's anchor, is its own prototype's server model
+            expected = flcore._train_client(k, before.params[pid], cfg.rounds, cfg, shards[k])
+            assert np.array_equal(cap["client_models"][k].values, expected)
+        avg = ff.average_params([cap["client_models"][k] for k in group], [len(shards[k]) for k in group])
+        momentum = cfg.server_momentum * before.velocity[pid] + (before.params[pid].values - avg.values)
+        assert np.array_equal(state.velocity[pid], momentum if strategy == "fedavgm" else before.velocity[pid])
 
 
 @pytest.mark.parametrize("clients_forked", [False, True], ids=["scorer_only", "with_clients"])
-@pytest.mark.parametrize("strategy", ["feddf", "feddf_heldout", "feddf_gaussian", "feddf_previous", "feddf_hetero"])
+@pytest.mark.parametrize("strategy", ["feddf", "feddf_heldout", "feddf_gaussian", "feddf_previous", "feddf_fleet"])
 def test_pipelined_fusions_equal_the_serial_loop_bitwise(strategy, clients_forked, pooled_rounds, monkeypatch):
     monkeypatch.setattr(flcore, "_SCORE_MIN_WORK", 0)
     piped, scorer = [], flcore._Workers.scorer
@@ -811,16 +829,16 @@ def test_pipelined_fusions_equal_the_serial_loop_bitwise(strategy, clients_forke
     }.get(strategy, uniform_pool())
     mode = "from_previous" if strategy == "feddf_previous" else "from_average"
     kw = dict(distill=DistillConfig(max_steps=20, patience=5, pool=pool, init_mode=mode))
-    prototypes, cmap = [proto], None
-    if strategy == "feddf_hetero":
+    prototypes = [proto]
+    if strategy == "feddf_fleet":  # clients a, b, a, b, a
         prototypes = [Prototype("a", (2, 12, 3), "tanh", "binary_ste"), Prototype("b", (2, 8, 3))]
-        cmap, kw["drop_threshold"] = ["a", "b", "a", "b", "a"], 0.5
-    cfg = (over_gate_cfg if clients_forked else small_cfg)("feddf_hetero" if strategy == "feddf_hetero" else "feddf", **kw)
-    state, records = run_training(cfg, shards, val, prototypes, cmap)
+        kw["drop_threshold"] = 0.5
+    cfg = (over_gate_cfg if clients_forked else small_cfg)("feddf", **kw)
+    state, records = run_training(cfg, shards, val, prototypes)
     assert piped and all(piped) and pooled_rounds == [clients_forked] * cfg.rounds
     assert multiprocessing.active_children() == []
     fusions = len(piped)
-    ref_state, ref_records, _ = serial_training(cfg, shards, val, prototypes, cmap)
+    ref_state, ref_records, _ = serial_training(cfg, shards, val, prototypes)
     assert not any(piped[fusions:]) and len(pooled_rounds) == cfg.rounds  # the hand loop forked nothing
     assert records == ref_records
     assert {r.distill_steps for r in records} != {20}  # some fusions stop on patience
@@ -926,23 +944,25 @@ def test_a_diverging_pipelined_student_raises_the_serial_error():
     assert children == "children 0"
 
 
+def session(sid: int) -> list[int]:
+    """pids of the live processes in session sid; an unreaped zombie has exited."""
+    pids = []
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                state, _, _, session_id = fh.read().rsplit(")", 1)[1].split()[:4]
+        except (FileNotFoundError, ProcessLookupError):
+            continue
+        if int(session_id) == sid and state != "Z":
+            pids.append(int(entry))
+    return pids
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads process states from /proc")
 def test_a_killed_run_takes_its_workers_down():
     import select
     import signal
     import time
-
-    def session(sid):  # pids of the live processes in session sid; an unreaped zombie has exited
-        pids = []
-        for entry in filter(str.isdigit, os.listdir("/proc")):
-            try:
-                with open(f"/proc/{entry}/stat") as fh:
-                    state, _, _, session_id = fh.read().rsplit(")", 1)[1].split()[:4]
-            except (FileNotFoundError, ProcessLookupError):
-                continue
-            if int(session_id) == sid and state != "Z":
-                pids.append(int(entry))
-        return pids
 
     proc = subprocess.Popen(**script_process(KILLED_RUN), stdout=subprocess.PIPE, start_new_session=True)
     try:
@@ -958,6 +978,70 @@ def test_a_killed_run_takes_its_workers_down():
         assert session(proc.pid) == []
     finally:
         proc.stdout.close()
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)  # cleanup: whatever the run left behind
+        except ProcessLookupError:
+            pass
+
+
+INTERRUPTED_RUN = """
+import os, sys
+from fedfusion import cli, flcore
+
+os.sched_getaffinity = lambda pid: {0, 1}  # two usable CPUs on any host
+flcore._SCORE_MIN_WORK = 0  # every fusion is scored by a forked job
+main, train_client, score_job = os.getpid(), flcore._train_client, flcore._score_job
+
+def announced_client(k, *args):
+    if os.getpid() != main:
+        print("client", os.getpid(), flush=True)
+    return train_client(k, *args)
+
+def announced_scorer(proto, val):
+    print("scorer", os.getpid(), flush=True)
+    score_job(proto, val)
+
+flcore._train_client, flcore._score_job = announced_client, announced_scorer
+sys.exit(cli.main(["run", sys.argv[1]]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads process states from /proc")
+@pytest.mark.parametrize("to", ["run", "group"])
+@pytest.mark.parametrize("job", ["client", "scorer"])
+def test_an_interrupted_run_prints_one_line_and_exits_130(tmp_path, job, to):
+    """SIGINT to fedfusion run while a forked job runs: to the run alone, or to its process group as Ctrl-C sends it."""
+    import select
+    import signal
+    import time
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    for old, new in {  # the README config with rounds that fork the pool, and runs and fusions that outlast the test
+        "rounds = 10": "rounds = 100000", "local_epochs = 10": "local_epochs = 40", "fedavg, feddf": "feddf",
+        "max_steps = 200": "max_steps = 100000", "patience = 60": "patience = 100000",
+    }.items():
+        text = text.replace(old, new)
+    (tmp_path / "exp.ini").write_text(text)
+    args = script_process(INTERRUPTED_RUN, str(tmp_path / "exp.ini"))
+    args["env"]["FEDFUSION_OUTPUT_ROOT"] = str(tmp_path / "out")
+    proc = subprocess.Popen(**args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True)
+    try:
+        line = ""
+        while not line.startswith(job):
+            assert select.select([proc.stdout], [], [], 60)[0], f"no {job} job started"
+            line = proc.stdout.readline()
+        time.sleep(0.2)  # mid-job
+        (os.killpg if to == "group" else os.kill)(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=30)
+        assert (proc.returncode, err) == (130, "interrupted\n")
+        deadline = time.monotonic() + 5.0
+        while session(proc.pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert session(proc.pid) == []
+    finally:
+        proc.stdout.close()
+        proc.stderr.close()
         try:
             os.killpg(proc.pid, signal.SIGKILL)  # cleanup: whatever the run left behind
         except ProcessLookupError:
@@ -1204,19 +1288,8 @@ def test_drop_threshold_auto_value_runs():
     assert all(isinstance(r.dropped, list) for r in recs)
 
 
-def test_hetero_single_prototype_matches_homogeneous_feddf():
-    train, val, shards, proto = small_task()
-    distill = DistillConfig(max_steps=25, patience=10, pool=uniform_pool())
-    homo_cfg = small_cfg("feddf", distill=distill)
-    homo_state, homo_recs = run_training(homo_cfg, shards, val, [proto])
-
-    distill2 = DistillConfig(max_steps=25, patience=10, pool=uniform_pool())
-    het_cfg = small_cfg("feddf_hetero", distill=distill2)
-    het_state, het_recs = run_training(
-        het_cfg, shards, val, [proto], client_prototypes=[proto.id] * 5
-    )
-    assert np.array_equal(homo_state.params["m"].values, het_state.params["m"].values)
-    assert [r.acc_fused for r in homo_recs] == [r.acc_fused for r in het_recs]
+def test_feddf_hetero_reads_as_feddf_until_the_benchmark_names_feddf():
+    assert small_cfg("feddf_hetero", distill=DistillConfig(5, 5, uniform_pool())).strategy == "feddf"
 
 
 def test_hetero_unsampled_prototype_carries_over():
@@ -1229,14 +1302,13 @@ def test_hetero_unsampled_prototype_carries_over():
         for ix in ff.dirichlet_partition(train.labels, ff.PartitionSpec(1.0, 6, 0))
     ]
     protos = [Prototype(f"p{i}", (2, 8 + 2 * i, 3)) for i in range(3)]
-    cmap = [protos[k % 3].id for k in range(6)]
     cfg = FLConfig(
         rounds=1, client_count=6, participation=0.34, local_epochs=2, local_lr=0.05,
-        local_batch=16, strategy="feddf_hetero", seed=0,
+        local_batch=16, strategy="feddf", seed=0,
         distill=DistillConfig(max_steps=15, patience=5, pool=uniform_pool()),
     )
     init0 = ServerState.initialize(protos, 0).params["p0"]
-    state, recs = run_training(cfg, shards, val, protos, client_prototypes=cmap)
+    state, recs = run_training(cfg, shards, val, protos)
     assert recs[0].sampled == [2, 4, 5]
     assert "p0" not in recs[0].per_prototype
     assert np.array_equal(state.params["p0"].values, init0.values)
@@ -1260,7 +1332,7 @@ def test_weak_group_gains_from_strong_ensemble():
     protos = [Prototype("strong", (2, 32, 32, 3)), Prototype("weak", (2, 24, 3))]
     cfg = FLConfig(
         rounds=1, client_count=4, participation=1.0, local_epochs=200, local_lr=0.05,
-        local_batch=32, strategy="feddf_hetero", seed=0,
+        local_batch=32, strategy="feddf", seed=0,
         distill=DistillConfig(max_steps=800, patience=200, pool=uniform_pool(60)),
     )
     _, recs = run_training(

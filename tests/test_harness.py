@@ -22,6 +22,7 @@ from fedfusion.harness import (
     SCHEMA_VERSION,
     _BOUND_SCHEMA,
     _EXPERIMENT_SCHEMA,
+    _build_fl_config,
     _derive_seed,
     _write_json,
     build_seed_data,
@@ -37,7 +38,7 @@ from fedfusion.harness import (
     save_boundary_grid,
     write_metrics,
 )
-from fedfusion.flcore import RoundRecord
+from fedfusion.flcore import RoundRecord, run_training
 from fedfusion.models import Prototype, init_params, load_params, predict_logits
 from fedfusion.numerics import softmax
 
@@ -177,7 +178,22 @@ class TestMetricsFile:
             write_metrics([sample_row(1), rec], tmp_path / "metrics.jsonl")
         with pytest.raises(ValueError):
             _write_json({"target_value": float("inf")}, tmp_path / "summary.json")
-        assert list(tmp_path.iterdir()) == []
+        assert list(tmp_path.iterdir()) == []  # neither the final files nor their temporaries
+
+    def test_a_failed_replace_leaves_the_earlier_file(self, tmp_path, monkeypatch):
+        write_metrics([sample_row(1)], tmp_path / "metrics.jsonl")
+        _write_json({"round": 1}, tmp_path / "summary.json")
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+
+        def failing_replace(src, dst):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="no space left"):
+            write_metrics([sample_row(2)], tmp_path / "metrics.jsonl")
+        with pytest.raises(OSError, match="no space left"):
+            _write_json({"round": 2}, tmp_path / "summary.json")
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 class TestDecisionBoundaryGrid:
@@ -286,14 +302,17 @@ class TestConfigLoading:
     def test_prototype_ids_and_round_robin_assignment(self, tmp_path):
         path = write_config(
             tmp_path / "h.ini",
-            strategies="strategies = feddf_hetero",
+            strategies="strategies = feddf",
             prototypes="prototypes = 2,8,3 | 2,12,3 | 2,16,3",
             clients="clients = 5",
+            participation="participation = 1.0",
         )
         cfg = load_experiment_config(path)
         protos = cfg.make_prototypes()
         assert [p.id for p in protos] == ["p0", "p1", "p2"]
-        assert cfg.client_prototype_map() == ["p0", "p1", "p2", "p0", "p1"]
+        data, cap = build_seed_data(cfg, 0), {}
+        run_training(_build_fl_config(cfg, "feddf", 0, data.pool_inputs), data.shards, data.val, protos, capture_final=cap)
+        assert {k: m.prototype.id for k, m in cap["client_models"].items()} == {0: "p0", 1: "p1", 2: "p2", 3: "p0", 4: "p1"}
 
     def test_public_dict_is_json_serializable(self, tmp_path):
         cfg = load_experiment_config(write_config(tmp_path / "exp.ini"))
@@ -322,14 +341,17 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="fedsomething"):
             load_experiment_config(path)
 
-    def test_multiple_prototypes_need_hetero(self, tmp_path):
-        path = write_config(tmp_path / "bad.ini", prototypes="prototypes = 2,8,3 | 2,12,3")
-        with pytest.raises(ConfigError) as err:
-            load_experiment_config(path)
-        assert str(err.value) == (
-            "bad value for federated.prototypes or federated.strategies: "
-            "multiple prototypes require strategy feddf_hetero only"
-        )
+    def test_a_fleet_loads_with_every_strategy_and_feddf_hetero_is_unknown(self, tmp_path, capsys):
+        fleet = "prototypes = 2,8,3 | 2,12,3"
+        path = write_config(tmp_path / "fleet.ini", prototypes=fleet, strategies="strategies = fedavg, fedprox, fedavgm, feddf")
+        assert load_experiment_config(path).strategies == ["fedavg", "fedprox", "fedavgm", "feddf"]
+        old = write_config(tmp_path / "old.ini", prototypes=fleet, strategies="strategies = feddf_hetero")
+        assert cli_main(["run", str(old)]) == 1
+        assert capsys.readouterr().err == "config error: federated.strategies names unknown strategy 'feddf_hetero'\n"
+
+    def test_a_semicolon_is_part_of_the_value(self, tmp_path):
+        path = write_config(tmp_path / "exp.ini", scale="scale = 0.6\ncenters = 0,0 ; 2,0 ; 0,2  # a comment")
+        assert load_experiment_config(path).centers.tolist() == [[0, 0], [2, 0], [0, 2]]
 
     def test_prototype_width_must_match_data(self, tmp_path):
         path = write_config(tmp_path / "bad.ini", prototypes="prototypes = 3,8,3")
@@ -442,8 +464,7 @@ class TestConfigLoading:
             ("val_fraction", "val_fraction = 1.5", "dataset.val_fraction: val_fraction must lie strictly between 0 and 1"),
             ("target", "target = none\ngrid = 3,-3,10", "evaluation.grid: bounds must satisfy lo < hi, got (3.0, -3.0)"),
             ("target", "target = none\ngrid = -3,3,1", "evaluation.grid: resolution must be >= 2"),
-            # "centers = ;" would be an inline comment: the value ";" needs the semicolon next to "="
-            ("scale", "scale = 0.6\ncenters =;", "dataset.centers: centers must have shape (3, dim), got (0,)"),
+            ("scale", "scale = 0.6\ncenters = ;", "dataset.centers: centers must have shape (3, dim), got (0,)"),
         ],
     )
     def test_a_rule_the_parsers_leave_to_the_library_names_its_key(self, tmp_path, name, lines, message):
@@ -468,7 +489,7 @@ class TestConfigLoading:
         path = write_config(
             tmp_path / "exp.ini",
             seeds="seeds =  3 ,4,  5",
-            strategies="strategies = feddf_hetero",
+            strategies="strategies = feddf",
             prototypes="prototypes = 2, 8 ,3 |2,12,3",
         )
         cfg = load_experiment_config(path)
@@ -819,6 +840,32 @@ class TestCli:
         assert proc.returncode == 2
         assert proc.stderr == f"error: {phase}: softmax input contains non-finite values\n"
 
+    @pytest.mark.parametrize(
+        "name, line, key",
+        [("scale", "scale = 0.6\ncenters = ;", "dataset.centers"), ("rounds", "rounds = 3 ; note", "federated.rounds")],
+    )
+    def test_a_semicolon_comment_is_a_bad_value(self, tmp_path, capsys, name, line, key):
+        assert cli_main(["run", str(write_config(tmp_path / "bad.ini", **{name: line}))]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: bad value for {key}: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_every_strategy_runs_on_a_fleet(self, tmp_path):
+        strategies = ["fedavg", "fedprox", "fedavgm", "feddf"]
+        path = write_config(
+            tmp_path / "fleet.ini",
+            strategies=f"strategies = {', '.join(strategies)}",
+            prototypes="prototypes = 2,8,3 | 2,12,3\nprox_mu = 0.01\nserver_momentum = 0.5",
+            target="target = none\ngrid = -3,3,5",
+        )
+        assert cli_main(["run", str(path)]) == 0
+        for strategy in strategies:  # no averaged or client grids: they are one-prototype outputs
+            run_dir = tmp_path / "out" / "seed0" / strategy
+            files = ["final_p0.params", "final_p1.params", "fused_grid_p0.csv", "fused_grid_p1.csv", "metrics.jsonl"]
+            assert sorted(p.name for p in run_dir.iterdir()) == files
+            rows = read_metrics(run_dir / "metrics.jsonl")
+            assert all(set(r.per_prototype) <= {"p0", "p1"} and r.per_prototype for r in rows)
+            assert any(len(r.per_prototype) == 2 for r in rows)
+
     def test_empty_validation_split_exits_one(self, tmp_path, capsys):
         path = write_config(
             tmp_path / "bad.ini", per_class="per_class = 2", val_fraction="val_fraction = 0.15"
@@ -868,7 +915,7 @@ class TestCli:
         ],
     )
     def test_value_the_library_rejects_exits_one_at_load(self, tmp_path, capsys, section, changes, key):
-        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
         if section == "bound":
             command = "bound-check"
             parser.read_string(f"[bound]\ninstances = 2\noutput = {tmp_path / 'bout'}\n")
@@ -898,7 +945,7 @@ class TestCli:
     def test_a_value_no_run_can_report_fails_at_load(self, tmp_path, capsys, section, key, value, message):
         """The README config with one line changed: each of these used to train every arm and then exit 2."""
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
         parser.read_string(readme.split("```ini\n", 1)[1].split("```", 1)[0])
         parser["experiment"]["output"] = str(tmp_path / "out")
         parser[section][key] = value
