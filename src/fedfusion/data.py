@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -272,16 +274,27 @@ def split_train_val(dataset: Dataset, val_fraction: float, seed: int) -> tuple[D
     return dataset.subset(train_idx), dataset.subset(val_idx)
 
 
+def _write_file(path, write) -> None:
+    """Make path's directory, let write(tmp) fill a temporary file beside path, and os.replace it over path."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_dataset(dataset: Dataset, path) -> None:
-    """CSV with header x0..x{d-1},label plus a JSON sidecar (<path>.meta.json)."""
+    """CSV with header x0..x{d-1},label plus a JSON sidecar (<path>.meta.json), each written by _write_file."""
     d = dataset.dim
     header = ",".join([f"x{i}" for i in range(d)] + ["label"])
     rows = np.column_stack([dataset.inputs, dataset.labels])  # labels < 2**53 stay exact as floats
-    np.savetxt(path, rows, fmt=["%.17g"] * d + ["%d"], delimiter=",", header=header, comments="")
+    fmt = ["%.17g"] * d + ["%d"]
+    _write_file(path, lambda tmp: np.savetxt(tmp, rows, fmt=fmt, delimiter=",", header=header, comments=""))
     meta = {"class_count": dataset.class_count, "n": len(dataset), "d": d}
-    with open(str(path) + ".meta.json", "w") as fh:
-        json.dump(meta, fh, sort_keys=True)
-        fh.write("\n")
+    _write_file(str(path) + ".meta.json", lambda tmp: tmp.write_text(json.dumps(meta, sort_keys=True) + "\n"))
 
 
 def load_dataset(path) -> Dataset:

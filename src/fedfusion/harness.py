@@ -35,6 +35,7 @@ from .data import (
     Dataset,
     DistillPool,
     PartitionSpec,
+    _write_file,
     dirichlet_partition,
     label_entropy,
     make_gaussian_blobs,
@@ -57,20 +58,10 @@ from .numerics import softmax
 SCHEMA_VERSION = 1
 OUTPUT_ENV_VAR = "FEDFUSION_OUTPUT_ROOT"
 
-def _write_text(path: Path, text: str) -> None:
-    """Write text to path through a temporary file beside it and os.replace: path holds its old bytes or the new."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 def write_metrics(records: list[RoundRecord], path) -> None:
     """One JSON line per record; a non-finite value raises ValueError before any file is opened."""
     rows = [json.dumps({**rec.as_dict(), "wall_ms": rec.wall_ms}, sort_keys=True, allow_nan=False) for rec in records]
-    _write_text(Path(path), "".join(row + "\n" for row in rows))
+    _write_file(path, lambda tmp: tmp.write_text("".join(row + "\n" for row in rows)))
 
 
 def read_metrics(path) -> list[RoundRecord]:
@@ -121,15 +112,14 @@ def save_boundary_grid(xs: np.ndarray, ys: np.ndarray, probs: np.ndarray, path) 
     header = ",".join(["x", "y"] + [f"p{c}" for c in range(classes)])
     gx, gy = np.meshgrid(xs, ys)
     rows = np.column_stack([gx.ravel(), gy.ravel(), probs.reshape(-1, classes)])
-    np.savetxt(path, rows, fmt="%.17g", delimiter=",", header=header, comments="")
+    _write_file(path, lambda tmp: np.savetxt(tmp, rows, fmt="%.17g", delimiter=",", header=header, comments=""))
 
 
 def _write_json(obj: dict, path: Path) -> dict:
-    """Write obj as a JSON artifact (sorted keys, indent 2, trailing newline) through _write_text; return obj.
+    """Write obj as a JSON artifact (sorted keys, indent 2, trailing newline) through _write_file; return obj.
     A non-finite value, which JSON cannot hold, raises ValueError and writes nothing."""
     text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    _write_text(path, text)
+    _write_file(path, lambda tmp: tmp.write_text(text))
     return obj
 
 
@@ -534,7 +524,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     The summary written to <output>/summary.json is byte-identical across reruns.
     """
     root = resolve_output_root(cfg)
-    root.mkdir(parents=True, exist_ok=True)
     (root / "summary.json").unlink(missing_ok=True)  # a run that fails leaves no earlier run's summary
     results: dict[str, dict] = {s: {} for s in cfg.strategies}
     centralized: dict[str, dict] = {}
@@ -543,7 +532,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     for seed in cfg.seeds:
         data = build_seed_data(cfg, seed)
         seed_dir = root / f"seed{seed}"
-        seed_dir.mkdir(exist_ok=True)
         if cfg.save:
             save_dataset(data.train, seed_dir / "train.csv")
             save_dataset(data.val, seed_dir / "val.csv")
@@ -567,7 +555,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             except (ValueError, RuntimeError) as e:  # run_round names the round and client or prototype
                 raise type(e)(f"seed {seed}, {strategy}: {e}") from e
             run_dir = seed_dir / strategy
-            run_dir.mkdir(exist_ok=True)
             write_metrics(records, run_dir / "metrics.jsonl")
             for pid, pv in sorted(state.params.items()):
                 save_params(pv, run_dir / f"final_{pid}.params")

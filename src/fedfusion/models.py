@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._errors import PrototypeMismatchError, ShapeError
+from .data import _write_file
 
 ACTIVATIONS = ("relu", "tanh")
 PRECISIONS = ("full", "binary_ste")
@@ -233,41 +234,37 @@ _MAGIC = b"FFPV"
 
 def save_params(params: ParamVector, path) -> None:
     """Write a parameter vector: magic, length-prefixed prototype id (utf-8),
-    u64 count, then count little-endian float64 values."""
+    u64 count, then count little-endian float64 values. path is replaced
+    atomically and its directory made (data._write_file)."""
     ident = params.prototype.id.encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", len(ident)))
-        fh.write(ident)
-        fh.write(struct.pack("<Q", params.values.shape[0]))
-        fh.write(params.values.astype("<f8").tobytes())
+    head = _MAGIC + struct.pack("<I", len(ident)) + ident + struct.pack("<Q", params.values.shape[0])
+    _write_file(path, lambda tmp: tmp.write_bytes(head + params.values.astype("<f8").tobytes()))
 
 
 def load_params(path, prototypes) -> ParamVector:
     """Read a parameter vector; prototypes maps id -> Prototype (or is an iterable).
 
-    A file that is truncated or has bytes after its values raises ValueError.
+    A file that is not a parameter file, is truncated or has bytes after its
+    values raises ValueError; a prototype id not in prototypes raises KeyError.
     """
     if not isinstance(prototypes, dict):
         prototypes = {p.id: p for p in prototypes}
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ValueError(f"not a parameter file: bad magic {magic!r}")
-        (id_len,) = struct.unpack("<I", fh.read(4))
-        ident = fh.read(id_len).decode("utf-8")
-        (count,) = struct.unpack("<Q", fh.read(8))
-        raw = fh.read(count * 8)
-        if len(raw) != count * 8:
-            raise ValueError("parameter file truncated")
-        if fh.read(1):
-            raise ValueError("parameter file has trailing bytes after its values")
-        values = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+        raw = fh.read()
+    if raw[:4] != _MAGIC:
+        raise ValueError(f"not a parameter file: bad magic {raw[:4]!r}")
+    try:  # the header's fields, each checked against the file's length
+        (id_len,) = struct.unpack_from("<I", raw, 4)
+        (count,) = struct.unpack_from("<Q", raw, 8 + id_len)
+    except struct.error:
+        raise ValueError("parameter file truncated") from None
+    ident = raw[8 : 8 + id_len].decode("utf-8")
     if ident not in prototypes:
         raise KeyError(f"unknown prototype id {ident!r} in {path}")
+    values = raw[16 + id_len :]
+    if len(values) != count * 8:  # checked before any array is built, so a huge count costs nothing
+        raise ValueError(f"parameter file {'truncated' if len(values) < count * 8 else 'has trailing bytes'}")
     proto = prototypes[ident]
     if count != proto.n_params:
-        raise ShapeError(
-            f"file holds {count} values but prototype {ident!r} expects {proto.n_params}"
-        )
-    return ParamVector(proto, values)
+        raise ShapeError(f"file holds {count} values but prototype {ident!r} expects {proto.n_params}")
+    return ParamVector(proto, np.frombuffer(values, dtype="<f8").astype(np.float64))

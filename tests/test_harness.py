@@ -39,7 +39,7 @@ from fedfusion.harness import (
     write_metrics,
 )
 from fedfusion.flcore import RoundRecord, run_training
-from fedfusion.models import Prototype, init_params, load_params, predict_logits
+from fedfusion.models import Prototype, init_params, load_params, predict_logits, save_params
 from fedfusion.numerics import softmax
 
 
@@ -124,6 +124,17 @@ def sample_row(round_index=3):
     )
 
 
+ARTIFACT_WRITES = {  # file name: a write of that kind, write(path, v), whose bytes v sets; data.csv adds a sidecar
+    "metrics.jsonl": lambda path, v: write_metrics([sample_row(v)], path),
+    "summary.json": lambda path, v: _write_json({"round": v}, path),
+    "final_p.params": lambda path, v: save_params(init_params(Prototype("p", (2, 3)), v), path),
+    "grid.csv": lambda path, v: save_boundary_grid(
+        *decision_boundary_grid(init_params(Prototype("p", (2, 3)), v), (-1.0, 1.0), 2), path
+    ),
+    "data.csv": lambda path, v: save_dataset(Dataset(np.full((2, 2), float(v)), np.array([0, 1]), 1 + v), path),
+}
+
+
 class TestRoundsToTarget:
     def test_first_crossing_is_one_based(self):
         assert rounds_to_target([0.3, 0.8, 0.7], 0.75) == 2
@@ -181,19 +192,31 @@ class TestMetricsFile:
         assert list(tmp_path.iterdir()) == []  # neither the final files nor their temporaries
 
     def test_a_failed_replace_leaves_the_earlier_file(self, tmp_path, monkeypatch):
-        write_metrics([sample_row(1)], tmp_path / "metrics.jsonl")
-        _write_json({"round": 1}, tmp_path / "summary.json")
-        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        replace = os.replace
+        for name in [*ARTIFACT_WRITES, "data.csv.meta.json"]:  # the sidecar's own replace fails last
+            stem = name.removesuffix(".meta.json")
+            write = ARTIFACT_WRITES[stem]
+            write(tmp_path / "old" / stem, 1)
+            write(tmp_path / "new" / stem, 2)
+            before = {path.name: path.read_bytes() for path in (tmp_path / "old").iterdir()}
+            assert before[name] != (tmp_path / "new" / name).read_bytes()
 
-        def failing_replace(src, dst):
-            raise OSError("no space left on device")
+            def failing_replace(src, dst):
+                if Path(dst).name == name:
+                    raise OSError("no space left on device")
+                replace(src, dst)
 
-        monkeypatch.setattr(os, "replace", failing_replace)
-        with pytest.raises(OSError, match="no space left"):
-            write_metrics([sample_row(2)], tmp_path / "metrics.jsonl")
-        with pytest.raises(OSError, match="no space left"):
-            _write_json({"round": 2}, tmp_path / "summary.json")
-        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "replace", failing_replace)
+                with pytest.raises(OSError, match="no space left"):
+                    write(tmp_path / "old" / stem, 2)
+            after = {path.name: path.read_bytes() for path in (tmp_path / "old").iterdir()}
+            assert sorted(after) == sorted(before) and after[name] == before[name], name  # and no .tmp stays
+
+    def test_a_save_into_a_missing_directory_creates_it(self, tmp_path):
+        for name, write in ARTIFACT_WRITES.items():
+            write(tmp_path / name / "seed0" / "fedavg" / name, 1)
+            assert (tmp_path / name / "seed0" / "fedavg" / name).is_file()
 
 
 class TestDecisionBoundaryGrid:

@@ -345,3 +345,23 @@ def test_serialization_errors(tmp_path):
     trailing.write_bytes(path.read_bytes() + b"garbage")
     with pytest.raises(ValueError, match="trailing"):
         load_params(trailing, {proto.id: proto})
+
+
+def test_load_params_refuses_every_corrupt_file(tmp_path):
+    """Each corrupt 2-4-3 file raises ValueError, or KeyError for an unknown id; a huge count allocates nothing."""
+    proto = Prototype("p", (2, 4, 3))
+    path = tmp_path / "m.params"
+    save_params(init_params(proto, 0), path)
+    good = path.read_bytes()  # FFPV, u32 id length 1, b"p", u64 count at byte 9, 27 float64 values
+    count_at = 9
+    cases = [(good[:n], ValueError, "bad magic" if n < 4 else "truncated") for n in range(len(good))]
+    cases += [
+        (good[:count_at] + struct.pack("<Q", 2**61) + good[count_at + 8 :], ValueError, "truncated"),
+        (good[:count_at] + struct.pack("<Q", 10**12) + good[count_at + 8 :], ValueError, "truncated"),
+        (good + b"\0", ValueError, "trailing"),
+        (good[:8] + b"q" + good[9:], KeyError, "unknown prototype id 'q'"),
+    ]
+    for data, error, match in cases:
+        path.write_bytes(data)
+        with pytest.raises(error, match=match):
+            load_params(path, [proto])
