@@ -38,8 +38,9 @@ trained cannot change its result. run_round hands them to _Workers.map as
 keyed jobs whose work is their local steps (epochs * ceil(shard / batch)).
 Under run_training, two or more jobs of _POOL_MIN_STEPS summed work run in a
 fork-context pool; results come back in client-id order, so results and the
-first error are the serial loop's, and a worker that dies fails the round,
-named for the client it held.
+first error are the serial loop's. A dead worker fails the round, named for
+the job it ran: each job writes its worker's pid into a cell of its own, and a
+broken pool SIGTERMs its live workers, so any other exit code marks the dead.
 
 feddf_fuse asks _Workers.scorer for its scorer. From a student whose score
 costs _SCORE_MIN_WORK (len(val) * sum(fan_in * fan_out)), a job in the same
@@ -47,10 +48,10 @@ pool, handed the student's prototype and val, scores each step on a CPU the
 run is not on, while the fusion trains the next step if that step runs
 whatever the score is; smaller students score in-process. Both give the
 serial loop's steps, results and errors; a dead scorer fails the round, named
-for its prototype. The pool shares only its mailbox, a block and two
-semaphores. While it runs, OpenBLAS keeps one thread; on Linux its workers
-die with the run. One CPU, no fork, a daemonic process, or run_round or
-feddf_fuse alone fork nothing.
+for its prototype. The pool shares only a block (the scorer's mailbox and the
+job cells) and two semaphores. While it runs, OpenBLAS keeps one thread; on
+Linux its workers die with the run. One CPU, no fork, a daemonic process, or
+run_round or feddf_fuse alone fork nothing.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ _POOL_STREAM = 3
 _INIT_STREAM = 4
 _POOL_MIN_STEPS = 256  # a round's local SGD steps that pay for forking workers
 _SCORE_MIN_WORK = 50_000  # len(val) * sum(fan_in * fan_out) of a student that pays for a forked scorer
-_SHARED: list = []  # in a forked worker: the run's [block, ready, done] and its held-job cell, set by _join_run
+_SHARED: list = []  # in a forked worker: the run's [block, ready, done], set by _join_run
 
 
 def sampling_rng(seed: int, round_index: int) -> np.random.Generator:
@@ -361,28 +362,26 @@ def _blas_threads(n: int) -> int:
         return 0
 
 
-def _join_run(parent: int, shared: list, joined) -> None:
-    """Pool initializer: keep the run's shared state, claim a held-job cell; on Linux, die with parent (the run)."""
-    with joined.get_lock():  # joined counts the workers so far; each holds the joined-th cell from the block's end
-        joined.value += 1
-        _SHARED.extend(shared + [-joined.value])
+def _join_run(parent: int, shared: list) -> None:
+    """Pool initializer: keep the run's shared state, let SIGTERM kill; on Linux, die with parent (the run)."""
+    _SHARED.extend(shared)
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # a Ctrl-C reaches the whole process group; the run ends its workers
-    signal.signal(signal.SIGTERM, lambda *args: _held_job(0, os._exit, (1,)))  # a broken pool ends live workers so
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)  # not a handler it inherited: map reads exit codes
     getattr(ctypes.CDLL(None), "prctl", lambda *args: 0)(1, ctypes.c_ulong(9))  # PR_SET_PDEATHSIG, SIGKILL
     if os.getppid() != parent:  # the run died before the call
         os._exit(1)
 
 
-def _held_job(mark: int, fn, args: tuple):
-    """fn(*args) in a forked worker, with mark (1 + the job's index in its map) in the worker's held-job cell."""
-    _SHARED[0][_SHARED[3]] = mark
+def _held_job(cell: int, fn, args: tuple):
+    """fn(*args) in a forked worker, its pid in the job's cell of the shared block: map names the job if it dies."""
+    _SHARED[0][cell] = os.getpid()
     return fn(*args)
 
 
 def _score_job(proto: Prototype, val: Dataset) -> None:
     """A forked scorer: each post scores the shared snapshot on val into block[1]; a post of -1 ends the job. Where
     the OS allows, it runs off the run's CPU (field 39 of /proc/<pid>/stat) and gives the worker its CPUs back."""
-    block, ready, done, _ = _SHARED
+    block, ready, done = _SHARED
     score, parent, cpus = _scorer(proto, val, block[8 : 8 + proto.n_params]), os.getppid(), None
     try:  # on the run's CPU, the scorer and the training step can queue behind each other while the other CPU idles
         with open(f"/proc/{parent}/stat") as fh:
@@ -406,8 +405,9 @@ class _Workers:
     """run_training's fork pool, made at the first jobs or fusion worth a fork; one without prototypes never forks."""
     pool = None
 
-    def __init__(self, prototypes: list[Prototype] = ()) -> None:
+    def __init__(self, prototypes: list[Prototype] = (), clients: int = 0) -> None:
         self.size = max((p.n_params for p in prototypes), default=0)  # the largest snapshot a scorer reads
+        self.clients = clients  # the most jobs a pooled map takes: the block has a cell for each
 
     def _fork(self, n: int) -> bool:
         """Whether the pool runs; forks it with min(cpus, n) workers given prototypes, 2+ CPUs, fork and no daemon."""
@@ -418,22 +418,23 @@ class _Workers:
                 import mmap
                 from concurrent.futures import ProcessPoolExecutor
                 fork, n = multiprocessing.get_context("fork"), min(cpus, n)  # a dead worker fails the pending jobs
-                self.block = np.frombuffer(mmap.mmap(-1, 8 * (8 + self.size + n)))  # command, accuracy, 6 unused,
-                self.ready, self.done = fork.Semaphore(0), fork.Semaphore(0)  # snapshot, a held-job cell per worker
+                self.block = np.frombuffer(mmap.mmap(-1, 8 * (8 + self.size + self.clients)))  # command, accuracy,
+                self.ready, self.done = fork.Semaphore(0), fork.Semaphore(0)  # 6 unused, snapshot, a cell per job
                 self.threads = _blas_threads(1)  # a second BLAS thread would fight the workers for their core
                 shared = [self.block, self.ready, self.done]
-                self.pool = ProcessPoolExecutor(n, fork, _join_run, (os.getpid(), shared, fork.Value("i", 0)))
+                self.pool = ProcessPoolExecutor(n, fork, _join_run, (os.getpid(), shared))
         return self.pool is not None
 
     def map(self, fn, jobs: list[tuple], label: str) -> list:
         """fn(*args) for each (key, args, work) job, given and returned in key order; the lowest failing key's error
         is raised as "<label> <key>: <error>". Two or more jobs of _POOL_MIN_STEPS summed work run in the pool, if
-        it forks, most work first. A dead worker's BrokenProcessPool names the job it held."""
+        it forks, most work first. A dead worker's BrokenProcessPool names the job it was running."""
         forked = len(jobs) > 1 and sum(job[2] for job in jobs) >= _POOL_MIN_STEPS and self._fork(len(jobs))
         if forked:
-            self.block[8 + self.size :] = 0  # no worker holds a job of this map yet
+            cells = self.block[8 + self.size :]  # cells[i]: the pid of the worker that started job i; 0, none yet
+            cells[:] = 0
             order = sorted(range(len(jobs)), key=lambda i: -jobs[i][2])
-            pending = {i: self.pool.submit(_held_job, i + 1, fn, jobs[i][1]) for i in order}
+            pending = {i: self.pool.submit(_held_job, 8 + self.size + i, fn, jobs[i][1]) for i in order}
         results = []
         try:
             for i, (_, args, _) in enumerate(jobs):
@@ -441,10 +442,12 @@ class _Workers:
         except (ValueError, RuntimeError) as e:  # a failing job, such as a diverging client; BrokenProcessPool
             from concurrent.futures.process import BrokenProcessPool
             held = [len(results)]  # the lowest failing key, as the serial loop meets it
-            if isinstance(e, BrokenProcessPool):
-                self.pool.shutdown()  # joins every worker; the pool ended the live ones, which cleared their cells
-                held = [int(h) - 1 for h in self.block[8 + self.size :] if h]
-                if not held:  # the dead worker had started no job
+            if isinstance(e, BrokenProcessPool):  # the pool ends its live workers with SIGTERM; others died
+                workers = list(self.pool._processes.values())  # before shutdown() drops them; reaped ones too
+                self.pool.shutdown()  # joins every worker
+                dead = {p.pid for p in workers if p.exitcode != -signal.SIGTERM}
+                held = [i for i, job in pending.items() if job.exception() and int(cells[i]) in dead]
+                if not held:  # the dead worker was running no job of this map
                     raise
             raise type(e)(f"{label} {jobs[min(held)][0]}: {e}") from e
         return results
@@ -500,11 +503,7 @@ def ensemble_logits(teachers: list[ParamVector], inputs: np.ndarray) -> np.ndarr
     classes = {t.prototype.n_classes for t in teachers}
     if len(classes) != 1:
         raise ShapeError(f"teachers disagree on class count: {sorted(classes)}")
-    return _mean_logits([predict_logits(t, inputs) for t in teachers])
-
-
-def _mean_logits(logits: list[np.ndarray]) -> np.ndarray:
-    return np.stack(logits).mean(axis=0)
+    return np.stack([predict_logits(t, inputs) for t in teachers]).mean(axis=0)
 
 
 def ensemble_accuracy(teachers: list[ParamVector], dataset: Dataset) -> float:
@@ -556,10 +555,10 @@ def feddf_fuse(
     proto = init.prototype
     if cfg.pool.dim != proto.n_inputs:
         raise ShapeError(f"pool dim {cfg.pool.dim} != model input width {proto.n_inputs}")
-    if cfg.max_steps == 0:
-        return init.copy(), 0, cursor
     if any(t.prototype.n_classes != proto.n_classes for t in teachers):
         raise ShapeError(f"teachers' class counts differ from the student's {proto.n_classes}")
+    if cfg.max_steps == 0:
+        return init.copy(), 0, cursor
     student_proto = replace(proto, precision="full")
     _check_fits(student_proto, val, "val")
     opt = numerics.OptimizerState.adam(
@@ -655,7 +654,7 @@ def run_round(
     kept_ids = [int(ids[i]) for i in kept_idx]
     kept_models = [trained[i] for i in kept_idx]
     dropped = [int(k) for k in ids if int(k) not in set(kept_ids)]
-    acc_ens = _accuracy(_mean_logits([val_logits[i] for i in kept_idx]), val)
+    acc_ens = _accuracy(np.stack([val_logits[i] for i in kept_idx]).mean(axis=0), val)
     prng, cursor = pool_rng(cfg.seed, t), state.pool_cursor
     new_params = dict(state.params)
     velocity = dict(state.velocity)
@@ -722,7 +721,7 @@ def run_training(
     """
     state = ServerState.initialize(prototypes, cfg.seed)
     records: list[RoundRecord] = []
-    workers = _Workers(prototypes)
+    workers = _Workers(prototypes, len(shards))
     try:
         for r in range(cfg.rounds):
             cap = capture_final if r == cfg.rounds - 1 else None

@@ -308,16 +308,21 @@ _BOUND_SCHEMA = (
 def _load(path, schema: tuple[_Key, ...], cfg, needed=lambda section, cfg: True):
     """Read an INI file through a schema into cfg, one attribute per key.
 
-    A missing file, an unknown section or key (keys of the DEFAULT section show
-    up in every section and are exempt), a bad cast, a missing required key or
-    a failed check is a ConfigError naming the key. Rows are read in order; a
-    section for which needed(section, cfg) is false is not read at all.
+    A missing file, a file that is not UTF-8 or that configparser cannot read,
+    an unknown section or key (keys of the DEFAULT section show up in every
+    section and are exempt), a bad %-interpolation, a bad cast, a missing
+    required key or a failed check is a ConfigError, naming the key where there
+    is one. Rows are read in order; a section for which needed(section, cfg) is
+    false is not read at all.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))  # a ";" is part of the value
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    parser.read(path)
+    try:
+        parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:  # a repeated section or key, no header first, not UTF-8
+        raise ConfigError("malformed config file: " + " ".join(str(exc).split())) from exc
     for section in parser.sections():
         known = {row.key for row in schema if row.section == section}
         if not known:
@@ -329,7 +334,10 @@ def _load(path, schema: tuple[_Key, ...], cfg, needed=lambda section, cfg: True)
         if not needed(section, cfg):
             continue
         if parser.has_option(section, key):
-            raw = parser.get(section, key).strip()
+            try:
+                raw = parser.get(section, key).strip()
+            except configparser.Error as exc:  # a bare % or a %(name)s that names no key
+                raise ConfigError(f"bad value for {section}.{key}: {exc}") from exc
             try:
                 value = cast(raw)
             except (ValueError, TypeError) as exc:

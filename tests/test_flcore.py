@@ -482,6 +482,13 @@ def test_teachers_of_another_class_count_fail_before_the_first_draw(pool_kind):
     assert rng.bit_generator.state == before
 
 
+def test_teachers_of_another_class_count_fail_also_at_zero_steps():
+    _, init, cfg, val = fusion_case("heldout", "relu", "full", "from_average", 10, 5)
+    teachers = [init_params(Prototype("t", (2, 12, 5)), s) for s in range(2)]  # the student has 3 classes
+    with pytest.raises(ShapeError, match="class counts differ from the student's 3"):
+        feddf_fuse(teachers, init, replace(cfg, max_steps=0), val, np.random.default_rng(0))
+
+
 FUSION_CASES = [
     (pool_kind, activation, precision, init_mode, 30, 30)
     for pool_kind in ("heldout", "uniform_noise", "gaussian_noise")
@@ -1098,6 +1105,31 @@ def test_a_dead_worker_fails_the_round_naming_its_client(killed, cpus):
     assert kind == "BrokenProcessPool" and message.startswith(f"round 1, client {killed}: ")
     assert float(seconds) < 10.0
     assert children == "children 0"
+
+
+def sigterm_action() -> str:
+    """The SIGTERM action of the process it runs in, as text: a Python handler does not pickle."""
+    import signal
+
+    return str(signal.getsignal(signal.SIGTERM))
+
+
+def test_a_pool_worker_takes_sigterm_at_the_kernel(monkeypatch):
+    """A broken pool SIGTERMs its live workers and names the dead one by exit code, so no worker may handle SIGTERM
+    in Python: a handler runs only between bytecodes and can miss a signal that lands as the worker blocks on a lock.
+    That holds also when the run that forks the pool has a handler of its own."""
+    import signal
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)  # two usable CPUs on any host
+    workers = flcore._Workers([Prototype("m", (2, 12, 3))])
+    caller = signal.signal(signal.SIGTERM, lambda *args: None)  # inherited by a forked worker
+    try:
+        if not workers._fork(2):
+            pytest.skip("no fork pool on this platform")
+        assert workers.pool.submit(sigterm_action).result() == str(signal.SIG_DFL)
+    finally:
+        signal.signal(signal.SIGTERM, caller)
+        workers.close()
 
 
 def blas_threads() -> int:

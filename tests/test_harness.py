@@ -978,6 +978,29 @@ class TestCli:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("rounds = 10\n", "rounds = 10\nrounds = 11\n", "option 'rounds' in section 'federated' already exists"),
+            ("[evaluation]\n", "[partition]\nalpha = 0.5\n\n[evaluation]\n", "section 'partition' already exists"),
+            ("[experiment]\n", "seeds = 0\n[experiment]\n", "File contains no section headers."),
+            ("[experiment]\n", "# caf\u00e9\n[experiment]\n", "'utf-8' codec can't decode byte 0xe9"),
+            ("output = runs/demo", "output = runs/50%done", "bad value for experiment.output: '%' must be followed"),
+            ("output = runs/demo", "output = runs/%(w)s", "bad value for experiment.output: Bad value substitution"),
+        ],
+        ids=["duplicate_key", "duplicate_section", "no_section_header", "not_utf_8", "bare_percent", "unknown_interpolation_key"],
+    )
+    def test_a_file_configparser_cannot_read_exits_one(self, tmp_path, capsys, monkeypatch, old, new, message):
+        """The README config with one edit that configparser refuses: one config error line, not a late exit 2."""
+        monkeypatch.chdir(tmp_path)  # where the README's relative output would go
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        text = readme.split("```ini\n", 1)[1].split("```", 1)[0].replace(old, new, 1)
+        (tmp_path / "bad.ini").write_bytes(text.encode("latin-1"))
+        assert cli_main(["partition-stats", "bad.ini"]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: ") and message in lines[0]
+        assert os.listdir(tmp_path) == ["bad.ini"]
+
     def test_partition_stats_refuses_a_negative_seed(self, tmp_path, capsys):
         assert cli_main(["partition-stats", str(write_config(tmp_path / "exp.ini")), "--seed", "-1"]) == 1
         assert capsys.readouterr().err == "config error: --seed must be >= 0, got -1\n"
@@ -1051,7 +1074,7 @@ EDGE_BASE = {
     "evaluation.grid": "-3,3,3",
     "evaluation.grid_clients": "true",
 }
-EDGE_TOKENS = ("0", "-1", "nan", "inf", "1e300", "")
+EDGE_TOKENS = ("0", "-1", "nan", "inf", "1e300", "", "%")
 
 
 @st.composite

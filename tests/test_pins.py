@@ -6,7 +6,8 @@ Three kinds of run are pinned:
   one, with clients assigned round-robin, a drop threshold and a heldout pool
   whose epochs straddle fusions and rounds;
 - a table of one-prototype runs, one row per strategy, pool kind, the
-  binary_ste and tanh kernel, and the from_previous student start;
+  binary_ste and tanh kernel, the from_previous student start, and a fusion
+  of 4 steps, whose records move with every step of the cosine schedule;
 - every file one small `fedfusion run` writes (two seeds, fedavg and feddf,
   the dataset exports and every decision-boundary grid).
 
@@ -63,6 +64,7 @@ TABLE = {  # row: (digest, each round's as_dict())
     'feddf_gaussian_noise': ('7dea8d1e2b542d7def57bd75675e19086f24206952b39770c76cf6db8479cf76', [{'round': 1, 'sampled': [1, 2, 3], 'dropped': [], 'acc_averaged': 0.6944444444444444, 'acc_fused': 0.9166666666666666, 'acc_ensemble': 0.5, 'distill_steps': 17, 'acc_per_prototype': {}}, {'round': 2, 'sampled': [1, 2, 3], 'dropped': [], 'acc_averaged': 0.9166666666666666, 'acc_fused': 0.9722222222222222, 'acc_ensemble': 0.9166666666666666, 'distill_steps': 16, 'acc_per_prototype': {}}, {'round': 3, 'sampled': [0, 2, 3], 'dropped': [], 'acc_averaged': 1.0, 'acc_fused': 1.0, 'acc_ensemble': 1.0, 'distill_steps': 15, 'acc_per_prototype': {}}]),
     'feddf_binary_ste_tanh': ('79dda9ca41b211040589c0e04b41c90cdae596141e5cd5de12d0a4b0ffec566d', [{'round': 1, 'sampled': [1, 2, 3], 'dropped': [], 'acc_averaged': 0.8888888888888888, 'acc_fused': 0.9166666666666666, 'acc_ensemble': 0.8888888888888888, 'distill_steps': 17, 'acc_per_prototype': {}}, {'round': 2, 'sampled': [1, 2, 3], 'dropped': [], 'acc_averaged': 0.8611111111111112, 'acc_fused': 0.8888888888888888, 'acc_ensemble': 0.8888888888888888, 'distill_steps': 16, 'acc_per_prototype': {}}, {'round': 3, 'sampled': [0, 2, 3], 'dropped': [], 'acc_averaged': 0.9722222222222222, 'acc_fused': 0.9722222222222222, 'acc_ensemble': 0.8888888888888888, 'distill_steps': 15, 'acc_per_prototype': {}}]),
     'feddf_from_previous': ('8faa5b95b30bc0881e172c91e1c81a437f39c5e73eacc0edebbc5c2bf24ab4d2', [{'round': 1, 'sampled': [1, 2, 3], 'dropped': [], 'acc_averaged': 0.6944444444444444, 'acc_fused': 0.5555555555555556, 'acc_ensemble': 0.5, 'distill_steps': 15, 'acc_per_prototype': {}}, {'round': 2, 'sampled': [1, 2, 3], 'dropped': [], 'acc_averaged': 0.6944444444444444, 'acc_fused': 0.5555555555555556, 'acc_ensemble': 0.5833333333333334, 'distill_steps': 15, 'acc_per_prototype': {}}, {'round': 3, 'sampled': [0, 2, 3], 'dropped': [], 'acc_averaged': 0.6666666666666666, 'acc_fused': 0.6666666666666666, 'acc_ensemble': 0.6944444444444444, 'distill_steps': 16, 'acc_per_prototype': {}}]),
+    'feddf_short_schedule': ('f8b83100701c81617559f3290b506a90ebe759b02f57d18c2e07ce5e2205975e', [{'round': 1, 'sampled': [1, 2, 3], 'dropped': [], 'acc_averaged': 0.6944444444444444, 'acc_fused': 0.8888888888888888, 'acc_ensemble': 0.5, 'distill_steps': 4, 'acc_per_prototype': {}}, {'round': 2, 'sampled': [1, 2, 3], 'dropped': [], 'acc_averaged': 0.8888888888888888, 'acc_fused': 0.8888888888888888, 'acc_ensemble': 0.8611111111111112, 'distill_steps': 2, 'acc_per_prototype': {}}, {'round': 3, 'sampled': [0, 2, 3], 'dropped': [], 'acc_averaged': 1.0, 'acc_fused': 1.0, 'acc_ensemble': 1.0, 'distill_steps': 2, 'acc_per_prototype': {}}]),
 }
 ARTIFACTS = {  # written file: sha256, of metrics.jsonl with its wall_ms values cut
     'seed0/fedavg/averaged_grid.csv': '723e12122733b7330bb8e9b448d664a77d7147f5bf5a2c8cdcc64d81137cd21e',
@@ -104,7 +106,7 @@ ARTIFACTS = {  # written file: sha256, of metrics.jsonl with its wall_ms values 
     'summary.json': '1d4bb5bb96c9afbc5bcf9a94e68d9363d0d3cac68d26a979832bca75002b3e75',
 }
 
-ROWS = {  # row: its settings over the table's feddf, heldout pool, relu, full precision, from_average
+ROWS = {  # row: its settings over the table's feddf, heldout pool, relu, full precision, from_average, 40 steps
     "fedavg": {"strategy": "fedavg"},
     "fedprox": {"strategy": "fedprox", "prox_mu": 0.05},
     "fedavgm": {"strategy": "fedavgm", "server_momentum": 0.5},
@@ -113,6 +115,7 @@ ROWS = {  # row: its settings over the table's feddf, heldout pool, relu, full p
     "feddf_gaussian_noise": {"pool": "gaussian_noise"},
     "feddf_binary_ste_tanh": {"activation": "tanh", "precision": "binary_ste"},
     "feddf_from_previous": {"init_mode": "from_previous"},
+    "feddf_short_schedule": {"max_steps": 4, "patience": 2},
 }
 
 ARTIFACT_INI = """\
@@ -183,7 +186,7 @@ def fleet_run(strategy: str = "feddf", client_prototypes=None):
 def table_run(row: str):
     """One prototype, 3 rounds of 3 of 4 label-skewed clients, with ROWS[row] over the table's defaults."""
     s = {"strategy": "feddf", "prox_mu": 0.0, "server_momentum": 0.0, "pool": "heldout", "activation": "relu",
-         "precision": "full", "init_mode": "from_average", **ROWS[row]}
+         "precision": "full", "init_mode": "from_average", "max_steps": 40, "patience": 15, **ROWS[row]}
     full = ff.make_gaussian_blobs(3, 50, None, 0.6, seed=1001)
     train, val = ff.split_train_val(full, 0.25, seed=2001)
     shards = [train.subset(ix) for ix in ff.dirichlet_partition(train.labels, ff.PartitionSpec(0.1, 4, 3001))]
@@ -195,7 +198,9 @@ def table_run(row: str):
     cfg = ff.FLConfig(
         rounds=3, client_count=4, participation=0.75, local_epochs=3, local_lr=0.05, local_batch=16,
         strategy=s["strategy"], seed=0, prox_mu=s["prox_mu"], server_momentum=s["server_momentum"],
-        distill=ff.DistillConfig(40, 15, pool, 0.01, s["init_mode"]) if s["strategy"] == "feddf" else None,
+        distill=None if s["strategy"] != "feddf" else ff.DistillConfig(
+            s["max_steps"], s["patience"], pool, 0.01, s["init_mode"]
+        ),
     )
     return ff.run_training(cfg, shards, val, [ff.Prototype("p", (2, 10, 3), s["activation"], s["precision"])])
 
