@@ -286,13 +286,17 @@ def _write_file(path, write) -> None:
         tmp.unlink(missing_ok=True)
 
 
+def _write_csv(path, names: list[str], rows: np.ndarray, formats: list[str]) -> None:
+    """A header of names, then the rows by one % of their comma-joined formats: the bytes numpy's savetxt writes."""
+    text = ",".join(names) + "\n" + (",".join(formats) + "\n") * len(rows) % tuple(rows.ravel().tolist())
+    _write_file(path, lambda tmp: tmp.write_text(text))
+
+
 def save_dataset(dataset: Dataset, path) -> None:
     """CSV with header x0..x{d-1},label plus a JSON sidecar (<path>.meta.json), each written by _write_file."""
     d = dataset.dim
-    header = ",".join([f"x{i}" for i in range(d)] + ["label"])
     rows = np.column_stack([dataset.inputs, dataset.labels])  # labels < 2**53 stay exact as floats
-    fmt = ["%.17g"] * d + ["%d"]
-    _write_file(path, lambda tmp: np.savetxt(tmp, rows, fmt=fmt, delimiter=",", header=header, comments=""))
+    _write_csv(path, [f"x{i}" for i in range(d)] + ["label"], rows, ["%.17g"] * d + ["%d"])
     meta = {"class_count": dataset.class_count, "n": len(dataset), "d": d}
     _write_file(str(path) + ".meta.json", lambda tmp: tmp.write_text(json.dumps(meta, sort_keys=True) + "\n"))
 

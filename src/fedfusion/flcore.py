@@ -39,8 +39,9 @@ keyed jobs whose work is their local steps (epochs * ceil(shard / batch)).
 Under run_training, two or more jobs of _POOL_MIN_STEPS summed work run in a
 fork-context pool; results come back in client-id order, so results and the
 first error are the serial loop's. A dead worker fails the round, named for
-the job it ran: each job writes its worker's pid into a cell of its own, and a
-broken pool SIGTERMs its live workers, so any other exit code marks the dead.
+the job it ran: each job writes its worker's pid into a cell of its own, and
+_Workers.close, the one way the pool ends, SIGTERMs each worker where it is,
+so any other exit code marks the dead; no error or Ctrl-C awaits a running job.
 
 feddf_fuse asks _Workers.scorer for its scorer. From a student whose score
 costs _SCORE_MIN_WORK (len(val) * sum(fan_in * fan_out)), a job in the same
@@ -88,6 +89,7 @@ _INIT_STREAM = 4
 _POOL_MIN_STEPS = 256  # a round's local SGD steps that pay for forking workers
 _SCORE_MIN_WORK = 50_000  # len(val) * sum(fan_in * fan_out) of a student that pays for a forked scorer
 _SHARED: list = []  # in a forked worker: the run's [block, ready, done], set by _join_run
+_COMMAND, _SCORE, _SNAPSHOT = 0, 1, 2  # the block: scorer command and score, the snapshot, then a cell per job
 
 
 def sampling_rng(seed: int, round_index: int) -> np.random.Generator:
@@ -379,10 +381,10 @@ def _held_job(cell: int, fn, args: tuple):
 
 
 def _score_job(proto: Prototype, val: Dataset) -> None:
-    """A forked scorer: each post scores the shared snapshot on val into block[1]; a post of -1 ends the job. Where
+    """A forked scorer: each post scores the shared snapshot on val into block[_SCORE]; a post of -1 ends the job. Where
     the OS allows, it runs off the run's CPU (field 39 of /proc/<pid>/stat) and gives the worker its CPUs back."""
     block, ready, done = _SHARED
-    score, parent, cpus = _scorer(proto, val, block[8 : 8 + proto.n_params]), os.getppid(), None
+    score, parent, cpus = _scorer(proto, val, block[_SNAPSHOT:][: proto.n_params]), os.getppid(), None
     try:  # on the run's CPU, the scorer and the training step can queue behind each other while the other CPU idles
         with open(f"/proc/{parent}/stat") as fh:
             cpus, on = os.sched_getaffinity(0), int(fh.read().rsplit(")", 1)[1].split()[36])
@@ -393,11 +395,11 @@ def _score_job(proto: Prototype, val: Dataset) -> None:
         while not ready.acquire(False):  # polled: waking from a blocking wait costs what the overlap saves
             if os.getppid() != parent:  # the run died unsignalled (no prctl); on Linux the syscall paces the poll
                 os._exit(1)
-        if block[0] < 0:
+        if block[_COMMAND] < 0:
             if cpus:  # the set the OS took a subset of: later client jobs in this worker use every CPU
                 os.sched_setaffinity(0, cpus)
             return
-        block[1] = score()
+        block[_SCORE] = score()
         done.release()
 
 
@@ -418,8 +420,8 @@ class _Workers:
                 import mmap
                 from concurrent.futures import ProcessPoolExecutor
                 fork, n = multiprocessing.get_context("fork"), min(cpus, n)  # a dead worker fails the pending jobs
-                self.block = np.frombuffer(mmap.mmap(-1, 8 * (8 + self.size + self.clients)))  # command, accuracy,
-                self.ready, self.done = fork.Semaphore(0), fork.Semaphore(0)  # 6 unused, snapshot, a cell per job
+                self.block = np.frombuffer(mmap.mmap(-1, 8 * (_SNAPSHOT + self.size + self.clients)))
+                self.ready, self.done = fork.Semaphore(0), fork.Semaphore(0)
                 self.threads = _blas_threads(1)  # a second BLAS thread would fight the workers for their core
                 shared = [self.block, self.ready, self.done]
                 self.pool = ProcessPoolExecutor(n, fork, _join_run, (os.getpid(), shared))
@@ -428,23 +430,23 @@ class _Workers:
     def map(self, fn, jobs: list[tuple], label: str) -> list:
         """fn(*args) for each (key, args, work) job, given and returned in key order; the lowest failing key's error
         is raised as "<label> <key>: <error>". Two or more jobs of _POOL_MIN_STEPS summed work run in the pool, if
-        it forks, most work first. A dead worker's BrokenProcessPool names the job it was running."""
+        it forks, most work first. A dead worker's BrokenProcessPool names the job it ran; close ends the rest."""
         forked = len(jobs) > 1 and sum(job[2] for job in jobs) >= _POOL_MIN_STEPS and self._fork(len(jobs))
         if forked:
-            cells = self.block[8 + self.size :]  # cells[i]: the pid of the worker that started job i; 0, none yet
+            cells = self.block[_SNAPSHOT + self.size :]  # cells[i]: pid of the worker that started job i; 0, none yet
             cells[:] = 0
-            order = sorted(range(len(jobs)), key=lambda i: -jobs[i][2])
-            pending = {i: self.pool.submit(_held_job, 8 + self.size + i, fn, jobs[i][1]) for i in order}
-        results = []
-        try:
+        results, pending = [], {}
+        try:  # a worker that dies at once breaks the pool while later jobs are still being submitted
+            for i in sorted(range(len(jobs)), key=lambda i: -jobs[i][2]) if forked else ():
+                pending[i] = self.pool.submit(_held_job, _SNAPSHOT + self.size + i, fn, jobs[i][1])
             for i, (_, args, _) in enumerate(jobs):
                 results.append(pending[i].result() if forked else fn(*args))
         except (ValueError, RuntimeError) as e:  # a failing job, such as a diverging client; BrokenProcessPool
             from concurrent.futures.process import BrokenProcessPool
             held = [len(results)]  # the lowest failing key, as the serial loop meets it
-            if isinstance(e, BrokenProcessPool):  # the pool ends its live workers with SIGTERM; others died
-                workers = list(self.pool._processes.values())  # before shutdown() drops them; reaped ones too
-                self.pool.shutdown()  # joins every worker
+            if isinstance(e, BrokenProcessPool):  # the pool and close end live workers with SIGTERM; others died
+                workers = list(self.pool._processes.values())  # before close() drops them; reaped ones too
+                self.close()
                 dead = {p.pid for p in workers if p.exitcode != -signal.SIGTERM}
                 held = [i for i, job in pending.items() if job.exception() and int(cells[i]) in dead]
                 if not held:  # the dead worker was running no job of this map
@@ -463,19 +465,23 @@ class _Workers:
         self.job = self.pool.submit(_score_job, proto, val)
 
         def post(command: float = 1.0) -> None:  # 1 scores the snapshot; -1 ends the job
-            self.block[0] = command
+            self.block[_COMMAND] = command
             self.ready.release()
 
         def wait() -> float:  # polled
             while not self.done.acquire(False):
                 if self.job.done():
                     raise self.job.exception() or RuntimeError("the scorer job ended early")
-            return float(self.block[1])
-        return self.block[8 : 8 + proto.n_params], post, wait, lambda: post(-1.0) or self.job.result()
+            return float(self.block[_SCORE])
+        return self.block[_SNAPSHOT:][: proto.n_params], post, wait, lambda: post(-1.0) or self.job.result()
 
     def close(self) -> None:
+        """The one way the pool ends: SIGTERM its workers wherever they are, reap them, give BLAS its threads back."""
         if self.pool is not None:
-            self.pool.shutdown(cancel_futures=True)  # joins every worker, also after one died
+            for worker in self.pool._processes.values():
+                worker.terminate()  # a running job ends here, not at its return; a reaped worker is left alone
+            self.pool.shutdown(cancel_futures=True)
+            self.pool = None
             _blas_threads(self.threads)
 
 

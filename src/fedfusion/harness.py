@@ -35,6 +35,7 @@ from .data import (
     Dataset,
     DistillPool,
     PartitionSpec,
+    _write_csv,
     _write_file,
     dirichlet_partition,
     label_entropy,
@@ -109,10 +110,9 @@ def decision_boundary_grid(
 def save_boundary_grid(xs: np.ndarray, ys: np.ndarray, probs: np.ndarray, path) -> None:
     """CSV with header x,y,p0..p{C-1}, rows in row-major grid order."""
     classes = probs.shape[2]
-    header = ",".join(["x", "y"] + [f"p{c}" for c in range(classes)])
     gx, gy = np.meshgrid(xs, ys)
     rows = np.column_stack([gx.ravel(), gy.ravel(), probs.reshape(-1, classes)])
-    _write_file(path, lambda tmp: np.savetxt(tmp, rows, fmt="%.17g", delimiter=",", header=header, comments=""))
+    _write_csv(path, ["x", "y"] + [f"p{c}" for c in range(classes)], rows, ["%.17g"] * (2 + classes))
 
 
 def _write_json(obj: dict, path: Path) -> dict:

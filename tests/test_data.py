@@ -11,6 +11,7 @@ from fedfusion.data import (
     Dataset,
     DistillPool,
     PartitionSpec,
+    _write_csv,
     dirichlet_partition,
     label_entropy,
     load_dataset,
@@ -284,6 +285,23 @@ def test_dataset_csv_roundtrip_bitwise(tmp_path):
     assert back.class_count == ds.class_count
     header = path.read_text().splitlines()[0]
     assert header == "x0,x1,label"
+
+
+CSV_TABLES = {  # (rows, column formats) the one CSV writer must write as np.savetxt does
+    "edge_values": (np.array([[-0.0, 5e-324, 1e300, 0.1 + 0.2], [2.0**53, 2.0**40, -1e-300, 2.0**53]]).T, ["%.17g", "%d"]),
+    "grid": (np.random.default_rng(0).normal(size=(1681, 5)) * 10.0 ** np.arange(-2, 3), ["%.17g"] * 5),
+    "empty": (np.empty((0, 3)), ["%.17g"] * 3),
+}
+
+
+@pytest.mark.parametrize("table", CSV_TABLES)
+def test_the_csv_writer_writes_the_bytes_of_np_savetxt(tmp_path, table):
+    """np.savetxt is the reference on every platform; the pinned file digests bite only on their recording platform."""
+    rows, formats = CSV_TABLES[table]
+    names = [f"c{i}" for i in range(len(formats))]
+    _write_csv(tmp_path / "table.csv", names, rows, formats)
+    np.savetxt(tmp_path / "reference.csv", rows, fmt=formats, delimiter=",", header=",".join(names), comments="")
+    assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 def test_dataset_csv_rejects_corrupt_header(tmp_path):

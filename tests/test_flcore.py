@@ -1013,10 +1013,24 @@ sys.exit(cli.main(["run", sys.argv[1]]))
 """
 
 
+FORKING = {  # the README config with rounds that fork the pool, and runs and fusions that outlast the test
+    "rounds = 10": "rounds = 100000", "local_epochs = 10": "local_epochs = 40", "fedavg, feddf": "feddf",
+    "max_steps = 200": "max_steps = 100000", "patience = 60": "patience = 100000",
+}
+LONG_CLIENTS = {  # the README config with one fedavg seed whose pooled client jobs each outlast the test
+    "seeds = 0, 1, 2": "seeds = 0", "fedavg, feddf": "fedavg", "target = relative:0.9": "target = none",
+    "local_epochs = 10": "local_epochs = 200000",
+}
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads process states from /proc")
 @pytest.mark.parametrize("to", ["run", "group"])
-@pytest.mark.parametrize("job", ["client", "scorer"])
-def test_an_interrupted_run_prints_one_line_and_exits_130(tmp_path, job, to):
+@pytest.mark.parametrize("job, edits, seconds", [
+    pytest.param("client", FORKING, 30.0, id="client"),
+    pytest.param("scorer", FORKING, 30.0, id="scorer"),
+    pytest.param("client", LONG_CLIENTS, 5.0, id="long_client"),  # the run ends its running jobs, not awaits them
+])
+def test_an_interrupted_run_prints_one_line_and_exits_130(tmp_path, job, edits, seconds, to):
     """SIGINT to fedfusion run while a forked job runs: to the run alone, or to its process group as Ctrl-C sends it."""
     import select
     import signal
@@ -1024,10 +1038,8 @@ def test_an_interrupted_run_prints_one_line_and_exits_130(tmp_path, job, to):
 
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     text = readme.split("```ini\n", 1)[1].split("```", 1)[0]
-    for old, new in {  # the README config with rounds that fork the pool, and runs and fusions that outlast the test
-        "rounds = 10": "rounds = 100000", "local_epochs = 10": "local_epochs = 40", "fedavg, feddf": "feddf",
-        "max_steps = 200": "max_steps = 100000", "patience = 60": "patience = 100000",
-    }.items():
+    for old, new in edits.items():
+        assert old in text
         text = text.replace(old, new)
     (tmp_path / "exp.ini").write_text(text)
     args = script_process(INTERRUPTED_RUN, str(tmp_path / "exp.ini"))
@@ -1040,7 +1052,7 @@ def test_an_interrupted_run_prints_one_line_and_exits_130(tmp_path, job, to):
             line = proc.stdout.readline()
         time.sleep(0.2)  # mid-job
         (os.killpg if to == "group" else os.kill)(proc.pid, signal.SIGINT)
-        _, err = proc.communicate(timeout=30)
+        _, err = proc.communicate(timeout=seconds)
         assert (proc.returncode, err) == (130, "interrupted\n")
         deadline = time.monotonic() + 5.0
         while session(proc.pid) and time.monotonic() < deadline:
@@ -1087,10 +1099,10 @@ print("threads", threads and flcore._blas_threads(threads))  # the count after t
 """
 
 
-def dead_worker_run(killed: int, cpus: int) -> list[str]:
+def dead_worker_run(killed: int, cpus: int, script: str = DEAD_WORKER_RUN) -> list[str]:
     """The lines DEAD_WORKER_RUN prints when, with cpus workers, the worker of client killed dies in round 1."""
     proc = subprocess.run(  # a child process, so a pool that waits forever fails here instead of hanging
-        **script_process(DEAD_WORKER_RUN, str(killed), str(cpus)), capture_output=True, timeout=60
+        **script_process(script, str(killed), str(cpus)), capture_output=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     return proc.stdout.splitlines()
@@ -1104,6 +1116,66 @@ def test_a_dead_worker_fails_the_round_naming_its_client(killed, cpus):
     seconds, kind, message = error.split(" ", 2)
     assert kind == "BrokenProcessPool" and message.startswith(f"round 1, client {killed}: ")
     assert float(seconds) < 10.0
+    assert children == "children 0"
+
+
+DIVERGING_CLIENT_RUN = """
+import dataclasses, multiprocessing, os, time
+import numpy as np
+import fedfusion as ff
+from fedfusion import flcore
+
+full = ff.make_gaussian_blobs(3, 60, None, 0.5, seed=1000)
+train, val = ff.split_train_val(full, 0.2, seed=2000)
+shards = [train.subset(ix) for ix in ff.dirichlet_partition(train.labels, ff.PartitionSpec(1.0, 2, 3000))]
+cfg = flcore.FLConfig(rounds=3, client_count=2, participation=1.0, local_epochs=20, local_lr=0.05,
+                      local_batch=8, strategy="fedavg")
+os.sched_getaffinity = lambda pid: {0, 1}  # two usable CPUs on any host, so both clients train at once
+np.seterr(over="ignore")
+train_client = flcore._train_client
+
+def train(k, start, t, cfg, shard):  # client 0 diverges at once; client 1 trains for longer than the test waits
+    changes = {"local_lr": 1e300} if k == 0 else {"local_epochs": 10**7}
+    return train_client(k, start, t, dataclasses.replace(cfg, **changes), shard)
+
+flcore._train_client = train
+tic = time.perf_counter()
+try:
+    flcore.run_training(cfg, shards, val, [ff.Prototype("m", (2, 12, 3))])
+except Exception as e:
+    print(f"{time.perf_counter() - tic:.3f}", type(e).__name__, e)
+print("children", len(multiprocessing.active_children()))
+"""
+
+
+def test_a_failing_job_ends_the_jobs_still_running():
+    proc = subprocess.run(**script_process(DIVERGING_CLIENT_RUN), capture_output=True, timeout=30)  # a join fails here
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    error, children = proc.stdout.splitlines()
+    seconds, kind, message = error.split(" ", 2)
+    assert kind == "ValueError" and message.startswith("round 1, client 0: ") and "non-finite values" in message
+    assert float(seconds) < 5.0
+    assert children == "children 0"
+
+
+SUBMITTED_ONE_BY_ONE = """
+import concurrent.futures
+submit = concurrent.futures.ProcessPoolExecutor.submit
+
+def one_by_one(pool, *args):  # each job is submitted once the one before it has ended
+    future = submit(pool, *args)
+    concurrent.futures.wait([future])
+    return future
+
+concurrent.futures.ProcessPoolExecutor.submit = one_by_one
+"""
+
+
+def test_a_worker_that_dies_before_the_last_job_is_submitted_is_named():
+    """Client 2, sent first, dies before client 1 is sent: the submit that finds the pool broken names client 2."""
+    shards, error, children, _ = dead_worker_run(2, 2, SUBMITTED_ONE_BY_ONE + DEAD_WORKER_RUN)
+    _, kind, message = error.split(" ", 2)
+    assert kind == "BrokenProcessPool" and message.startswith("round 1, client 2: ")
     assert children == "children 0"
 
 
