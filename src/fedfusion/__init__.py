@@ -37,7 +37,7 @@ from .data import (
     dirichlet_partition,
     label_entropy,
     make_gaussian_blobs,
-    sample_distill_batch,
+    sample_noise_rows,
     split_train_val,
 )
 from .flcore import (

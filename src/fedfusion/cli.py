@@ -99,6 +99,6 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except KeyboardInterrupt:  # run_training's pool has joined its workers by now
+    except KeyboardInterrupt:  # run_training has ended its pool's workers by now (_Workers.close)
         print("interrupted", file=sys.stderr)
         return 130

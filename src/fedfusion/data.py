@@ -169,8 +169,9 @@ class DistillPool:
     Kinds: "heldout" draws without replacement from a fixed input matrix,
     reshuffling at each epoch boundary, through a cursor its caller threads
     (sample_distill_rows); "uniform_noise" and "gaussian_noise" synthesize
-    fresh inputs per call (sample_distill_batch). Pools never carry labels.
-    A heldout pool's input matrix is `inputs`; noise pools have none (None).
+    the rows of one fusion at a time (sample_noise_rows). Pools never carry
+    labels. A heldout pool's input matrix is `inputs`; noise pools have none
+    (None).
     """
 
     def __init__(self, kind: str, batch_size: int, *, inputs=None, dim=None, low=None, high=None):
@@ -240,14 +241,18 @@ def sample_distill_rows(
     return np.concatenate(parts), (order, pos)
 
 
-def sample_distill_batch(pool: DistillPool, rng: np.random.Generator) -> np.ndarray:
-    """Next batch of a noise pool's inputs, shape (batch_size, dim)."""
-    size = (pool.batch_size, pool.dim)
+def sample_noise_rows(pool: DistillPool, rng: np.random.Generator) -> np.ndarray:
+    """One fusion's rows of a noise pool, uniform in [low, high) or standard normal: shape (4 * batch_size, dim).
+
+    Four batches: the size of the heldout pools of the README config (256 rows at batch 64) and of the acceptance
+    recipe (512 at 128).
+    """
+    size = (4 * pool.batch_size, pool.dim)
     if pool.kind == "uniform_noise":
         return rng.uniform(pool.low, pool.high, size=size)
     if pool.kind == "gaussian_noise":
         return rng.standard_normal(size=size)
-    raise ValueError("heldout pools hand out row indices (sample_distill_rows), not batches")
+    raise ValueError("heldout pools hand out row indices (sample_distill_rows), not noise rows")
 
 
 def split_train_val(dataset: Dataset, val_fraction: float, seed: int) -> tuple[Dataset, Dataset]:

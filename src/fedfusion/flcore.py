@@ -25,12 +25,13 @@ inputs and target rows to one training step (numerics._trainer). Local SGD
 gathers a shard's inputs and one-hot label rows once per epoch, so each
 batch is a contiguous slice.
 
-The teachers are fixed while one fusion runs, so with a heldout pool
-feddf_fuse computes their softmax targets once, over the whole pool, and
-gathers each batch's rows from them into buffers. Noise pools have no
-fixed rows and run the teachers on every batch. The heldout epoch cursor is
-run state, not pool state: ServerState.pool_cursor carries it from fusion to
-fusion, through each round's prototypes in sorted id order.
+The teachers are fixed while one fusion runs, so feddf_fuse computes their
+softmax targets once, over the whole pool, and gathers each batch's rows from
+them into buffers. A noise pool's rows are drawn once per fusion
+(data.sample_noise_rows) and distilled as a heldout pool's. The heldout epoch
+cursor is run state, not pool state: ServerState.pool_cursor carries it from
+fusion to fusion, through each round's prototypes in sorted id order; a noise
+fusion threads a cursor of its own over its rows.
 
 Determinism: every random stream is derived from (seed, stream tag, round,
 client), never from call order, so the order in which a round's clients are
@@ -67,7 +68,7 @@ import numpy as np
 
 from ._errors import ConfigError, ShapeError
 from . import numerics
-from .data import Dataset, DistillPool, sample_distill_batch, sample_distill_rows
+from .data import Dataset, DistillPool, sample_distill_rows, sample_noise_rows
 from .models import (
     ParamVector,
     Prototype,
@@ -468,8 +469,8 @@ class _Workers:
             self.block[_COMMAND] = command
             self.ready.release()
 
-        def wait() -> float:  # polled
-            while not self.done.acquire(False):
+        def wait() -> float:  # blocks, so the pool's threads get the GIL to start the job; checks it each ms
+            while not self.done.acquire(True, 0.001):
                 if self.job.done():
                     raise self.job.exception() or RuntimeError("the scorer job ended early")
             return float(self.block[_SCORE])
@@ -532,29 +533,25 @@ def feddf_fuse(
     and the loop stops early once patience steps pass without improvement.
     Returns (best snapshot, steps actually taken, heldout cursor after the
     last batch). A heldout pool's batches continue from cursor, as
-    sample_distill_rows threads it; noise pools pass it through. Equal
+    sample_distill_rows threads it; a noise pool's rows are drawn from rng
+    once, before the first step (sample_noise_rows), and batched through a
+    fresh cursor of their own, so cursor is returned as given. Equal
     arguments and equally seeded rngs give equal results. Binarized
     prototypes are trained and scored as their full-precision twin; the
     returned vector is re-bound to the original prototype as its master values.
 
-    A heldout pool's targets come from one ensemble pass over all its rows,
-    made before the first step; each step gathers its batch's rows from
-    them. Noise pools run the ensemble on every batch. The cached targets
-    equal the per-batch ones bitwise when the pool and batch row counts are
-    both multiples of 4 (every shipped config). For other row counts BLAS
-    may block the teachers' matmuls differently: over 1,400 random pool and
-    batch sizes on x86_64 OpenBLAS, a target probability moved by at most
-    4.4e-16.
+    The targets come from one ensemble pass over all the pool's rows, made
+    before the first step; each step gathers its batch's rows from them.
 
     Checked once per fusion, before any draw from rng: the teachers' class
     count is the student's; val fits the student and has finite inputs. The
-    teachers' checked forward checks the heldout rows once and each noise
-    batch; targets are its softmax, not re-checked. Every step checks the
-    student's logits and gradient (numerics._trainer). The student trains in
-    place; a copy of each step is scored through models._forward by the
-    scorer of _workers, or of an in-process _Workers() (see the module
-    docstring). The steps trained, result, cursor, rng state and errors
-    equal a loop of numerics.grad, numerics.opt_step and top1_accuracy.
+    teachers' checked forward checks the pool's rows once; targets are its
+    softmax, not re-checked. Every step checks the student's logits and
+    gradient (numerics._trainer). The student trains in place; a copy of each
+    step is scored through models._forward by the scorer of _workers, or of
+    an in-process _Workers() (see the module docstring). The steps trained,
+    result, cursor, rng state and errors equal a loop of numerics.grad,
+    numerics.opt_step and top1_accuracy.
     """
     if not teachers:
         raise ValueError("feddf_fuse needs at least one teacher")
@@ -573,25 +570,19 @@ def feddf_fuse(
     values = init.values.copy()
     step = numerics._trainer(student_proto, values, opt)
 
-    def teacher_targets(x: np.ndarray) -> np.ndarray:
-        return numerics.softmax(ensemble_logits(teachers, x))
-
-    pool = cfg.pool
-    if pool.kind == "heldout":
-        pool_targets = teacher_targets(pool.inputs)
-        batch = np.empty((pool.batch_size, proto.n_inputs))
-        targets = np.empty((pool.batch_size, proto.n_classes))
+    pool, held = cfg.pool, cursor
+    if pool.kind != "heldout":  # this fusion's noise rows, distilled as a heldout pool with a cursor of its own
+        pool, cursor = DistillPool.heldout(sample_noise_rows(pool, rng), pool.batch_size), (None, 0)
+    pool_targets = numerics.softmax(ensemble_logits(teachers, pool.inputs))
+    batch = np.empty((pool.batch_size, proto.n_inputs))
+    targets = np.empty((pool.batch_size, proto.n_classes))
 
     def advance() -> None:  # draw the next batch and train one step on it
         nonlocal cursor
-        if pool.kind == "heldout":
-            rows, cursor = sample_distill_rows(pool, rng, cursor)  # in range, as a local-SGD epoch's order
-            np.take(pool.inputs, rows, axis=0, out=batch, mode="clip")
-            np.take(pool_targets, rows, axis=0, out=targets, mode="clip")
-            step(batch, targets)
-        else:
-            x = sample_distill_batch(pool, rng)
-            step(x, teacher_targets(x))
+        rows, cursor = sample_distill_rows(pool, rng, cursor)  # in range, as a local-SGD epoch's order
+        np.take(pool.inputs, rows, axis=0, out=batch, mode="clip")
+        np.take(pool_targets, rows, axis=0, out=targets, mode="clip")
+        step(batch, targets)
 
     snapshot, post, wait, end = (_workers or _Workers()).scorer(student_proto, val)  # after the targets: a scorer spins
     try:  # step 0 scores init itself, which seeds the best snapshot
@@ -613,7 +604,7 @@ def feddf_fuse(
                 break
     finally:
         end()
-    return ParamVector(proto, best_values), s, cursor
+    return ParamVector(proto, best_values), s, cursor if pool is cfg.pool else held
 
 
 def run_round(

@@ -17,8 +17,8 @@ from fedfusion.data import (
     load_dataset,
     make_gaussian_blobs,
     ring_centers,
-    sample_distill_batch,
     sample_distill_rows,
+    sample_noise_rows,
     save_dataset,
     split_train_val,
 )
@@ -166,17 +166,17 @@ def test_label_entropy_values():
 
 def test_uniform_pool_bounds_and_determinism():
     pool = DistillPool.uniform_noise(-3.0, 3.0, 2, 40)
-    a = sample_distill_batch(pool, np.random.default_rng(0))
-    b = sample_distill_batch(DistillPool.uniform_noise(-3.0, 3.0, 2, 40), np.random.default_rng(0))
-    assert a.shape == (40, 2)
+    a = sample_noise_rows(pool, np.random.default_rng(0))
+    b = sample_noise_rows(DistillPool.uniform_noise(-3.0, 3.0, 2, 40), np.random.default_rng(0))
+    assert a.shape == (160, 2)  # four batches
     assert a.min() >= -3.0 and a.max() <= 3.0
     assert np.array_equal(a, b)
     assert pool.dim == 2
 
 
 def test_gaussian_pool_moments():
-    pool = DistillPool.gaussian_noise(2, 2000)
-    x = sample_distill_batch(pool, np.random.default_rng(1))
+    pool = DistillPool.gaussian_noise(2, 500)
+    x = sample_noise_rows(pool, np.random.default_rng(1))
     assert x.shape == (2000, 2)
     assert np.abs(x.mean(axis=0)).max() < 0.1
     assert np.abs(x.std(axis=0) - 1.0).max() < 0.1
@@ -225,7 +225,7 @@ def test_only_heldout_pools_have_rows():
     heldout = DistillPool.heldout(inputs, 4)
     assert np.array_equal(heldout.inputs, inputs)
     with pytest.raises(ValueError, match="row indices"):
-        sample_distill_batch(heldout, np.random.default_rng(0))
+        sample_noise_rows(heldout, np.random.default_rng(0))
     for pool in (DistillPool.uniform_noise(-1.0, 1.0, 2, 4), DistillPool.gaussian_noise(2, 4)):
         assert pool.inputs is None
         with pytest.raises(ValueError):

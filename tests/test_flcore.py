@@ -5,6 +5,8 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -424,16 +426,13 @@ def reference_fuse(teachers, init, cfg, val, rng, cursor=(None, 0)):
     student = ParamVector(twin, init.values.copy())
     opt = numerics.OptimizerState.adam(cfg.base_lr, twin.n_params, schedule="cosine", total_steps=cfg.max_steps)
     best_values, best_acc, best_step, steps = init.values.copy(), top1_accuracy(student, val), 0, 0
-    pool = cfg.pool
-    if pool.kind == "heldout":
-        pool_targets = numerics.softmax(ensemble_logits(teachers, pool.inputs))
+    pool, held = cfg.pool, cursor
+    if pool.kind != "heldout":  # a noise pool's rows are drawn once per fusion and threaded by a cursor of their own
+        pool, cursor = ff.DistillPool.heldout(ff.sample_noise_rows(pool, rng), pool.batch_size), (None, 0)
+    pool_targets = numerics.softmax(ensemble_logits(teachers, pool.inputs))
     for _ in range(cfg.max_steps):
-        if pool.kind == "heldout":
-            rows, cursor = ff.data.sample_distill_rows(pool, rng, cursor)
-            batch, targets = pool.inputs[rows], pool_targets[rows]
-        else:
-            batch = ff.sample_distill_batch(pool, rng)
-            targets = numerics.softmax(ensemble_logits(teachers, batch))
+        rows, cursor = ff.data.sample_distill_rows(pool, rng, cursor)
+        batch, targets = pool.inputs[rows], pool_targets[rows]
         g = numerics.grad("kl_vs_target", student, batch, target_probs=targets)
         student, opt = numerics.opt_step(opt, student, g)
         steps += 1
@@ -442,7 +441,7 @@ def reference_fuse(teachers, init, cfg, val, rng, cursor=(None, 0)):
             best_acc, best_values, best_step = acc, student.values.copy(), steps
         if steps - best_step >= cfg.patience:
             break
-    return ParamVector(proto, best_values), steps, cursor
+    return ParamVector(proto, best_values), steps, cursor if pool is cfg.pool else held
 
 
 def same_cursor(a, b):
@@ -606,6 +605,50 @@ def test_the_scorer_job_scores_on_the_validation_set_it_is_handed(scorer_workers
     assert_same_fusions(pipelined_and_serial_fuse(scorer_workers([init.prototype]), teachers, init, cfg, copy, 8))
 
 
+def test_a_waiting_fusion_lets_the_runs_other_threads_run(scorer_workers, monkeypatch):
+    """The wait for a score blocks: a thread of the run, such as the pool's own, is not held off for a switch interval."""
+    main, make_scorer = os.getpid(), flcore._scorer
+
+    def slow_scorer(proto, val, snapshot):  # each forked score takes 100 ms
+        score = make_scorer(proto, val, snapshot)
+
+        def slow():
+            if os.getpid() != main:
+                time.sleep(0.1)
+            return score()
+        return slow
+
+    monkeypatch.setattr(flcore, "_scorer", slow_scorer)
+    teachers, init, cfg, val = fusion_case("heldout", "relu", "full", "from_average", 400, 5)
+    snapshot, post, wait, end = scorer_workers([init.prototype]).scorer(init.prototype, val)
+    snapshot[:] = init.values
+    late, waiting, stop = [], threading.Event(), threading.Event()
+
+    def ticker():  # sleeps 1 ms at a time and records how late it wakes while the fusion waits
+        while not stop.is_set():
+            tic = time.perf_counter()
+            time.sleep(0.001)
+            if waiting.is_set():
+                late.append(time.perf_counter() - tic - 0.001)
+
+    interval, thread = sys.getswitchinterval(), threading.Thread(target=ticker)
+    sys.setswitchinterval(0.05)  # a thread that holds the GIL keeps it this long
+    thread.start()
+    try:
+        for _ in range(3):
+            post()
+            waiting.set()
+            acc = wait()
+            waiting.clear()
+    finally:
+        stop.set()
+        thread.join()
+        sys.setswitchinterval(interval)
+        end()
+    assert acc == top1_accuracy(init, val)
+    assert len(late) > 30 and max(late) < 0.025
+
+
 USABLE_CPUS = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
 
 
@@ -713,7 +756,8 @@ def test_feddf_fuse_checks_its_fixed_data_once_per_fusion():
         feddf_fuse(teachers, init, cfg, val, np.random.default_rng(0))
 
 
-def test_heldout_fusion_runs_the_teachers_once(monkeypatch):
+@pytest.mark.parametrize("noise", ["uniform_noise", "gaussian_noise"])
+def test_heldout_fusion_runs_the_teachers_once(monkeypatch, noise):
     _, val, _, proto = small_task()
     teachers = [init_params(proto, s) for s in range(3)]
     calls = []
@@ -728,9 +772,9 @@ def test_heldout_fusion_runs_the_teachers_once(monkeypatch):
         _, steps, _ = feddf_fuse(teachers, init_params(proto, 9), cfg, val, np.random.default_rng(0))
         assert steps == max_steps and calls == [40]
         calls.clear()
-        cfg = DistillConfig(max_steps, max_steps, uniform_pool(16))
-        _, steps, _ = feddf_fuse(teachers, init_params(proto, 9), cfg, val, np.random.default_rng(0))
-        assert steps == max_steps and calls == [16] * max_steps
+        pool = uniform_pool(16) if noise == "uniform_noise" else ff.DistillPool.gaussian_noise(2, 16)
+        _, steps, _ = feddf_fuse(teachers, init_params(proto, 9), replace(cfg, pool=pool), val, np.random.default_rng(0))
+        assert steps == max_steps and calls == [4 * 16]  # a noise fusion's rows: four batches, drawn once
 
 
 def test_drop_filter_reuses_the_validation_forwards(monkeypatch):
