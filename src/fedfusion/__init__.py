@@ -46,7 +46,6 @@ from .flcore import (
     RoundRecord,
     ServerState,
     client_local_update,
-    drop_worst,
     ensemble_accuracy,
     ensemble_logits,
     feddf_fuse,

@@ -62,7 +62,7 @@ import ctypes
 import os
 import signal
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -491,18 +491,6 @@ def _kept_indices(accs: list[float], threshold: float | None) -> list[int]:
     return kept or [int(np.argmax(accs))]  # all at or below the threshold: the best one
 
 
-def drop_worst(models: list[ParamVector], val: Dataset, threshold: float) -> list[ParamVector]:
-    """Filter out models whose validation accuracy is <= threshold.
-
-    If every model falls at or below the threshold, the single best one is
-    kept so aggregation always has input.
-    """
-    if not models:
-        raise ValueError("drop_worst needs at least one model")
-    accs = [top1_accuracy(m, val) for m in models]
-    return [models[i] for i in _kept_indices(accs, threshold)]
-
-
 def ensemble_logits(teachers: list[ParamVector], inputs: np.ndarray) -> np.ndarray:
     """Mean of the teachers' logits; teachers may differ in architecture."""
     if not teachers:
@@ -536,9 +524,9 @@ def feddf_fuse(
     sample_distill_rows threads it; a noise pool's rows are drawn from rng
     once, before the first step (sample_noise_rows), and batched through a
     fresh cursor of their own, so cursor is returned as given. Equal
-    arguments and equally seeded rngs give equal results. Binarized
-    prototypes are trained and scored as their full-precision twin; the
-    returned vector is re-bound to the original prototype as its master values.
+    arguments and equally seeded rngs give equal results. A binary_ste
+    student trains through its clients' straight-through step and is scored
+    binarized, as it is deployed; the returned values are its master values.
 
     The targets come from one ensemble pass over all the pool's rows, made
     before the first step; each step gathers its batch's rows from them.
@@ -562,13 +550,10 @@ def feddf_fuse(
         raise ShapeError(f"teachers' class counts differ from the student's {proto.n_classes}")
     if cfg.max_steps == 0:
         return init.copy(), 0, cursor
-    student_proto = replace(proto, precision="full")
-    _check_fits(student_proto, val, "val")
-    opt = numerics.OptimizerState.adam(
-        cfg.base_lr, student_proto.n_params, schedule="cosine", total_steps=cfg.max_steps
-    )
+    _check_fits(proto, val, "val")
+    opt = numerics.OptimizerState.adam(cfg.base_lr, proto.n_params, schedule="cosine", total_steps=cfg.max_steps)
     values = init.values.copy()
-    step = numerics._trainer(student_proto, values, opt)
+    step = numerics._trainer(proto, values, opt)
 
     pool, held = cfg.pool, cursor
     if pool.kind != "heldout":  # this fusion's noise rows, distilled as a heldout pool with a cursor of its own
@@ -584,7 +569,7 @@ def feddf_fuse(
         np.take(pool_targets, rows, axis=0, out=targets, mode="clip")
         step(batch, targets)
 
-    snapshot, post, wait, end = (_workers or _Workers()).scorer(student_proto, val)  # after the targets: a scorer spins
+    snapshot, post, wait, end = (_workers or _Workers()).scorer(proto, val)  # after the targets: a scorer spins
     try:  # step 0 scores init itself, which seeds the best snapshot
         best_acc, best_step, ahead = -1.0, 0, True
         for s in range(cfg.max_steps + 1):

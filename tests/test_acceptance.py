@@ -389,23 +389,25 @@ def test_criterion_05_margin_survives_heavy_local_work():
     )
 
 
-def hetero_margins(seed: int) -> tuple[list[float], list[int]]:
-    """Per family: mean fused minus mean group-average accuracy, and rounds fused."""
+def hetero_run(key: tuple) -> list[list[tuple[float, float]]]:
+    """Per family of one (seed, strategy, p0's precision) fleet: the (fused, group average) accuracies of
+    each round the family was sampled in."""
+    seed, strategy, precision = key
     p = RECIPE
-    margins = []
-    rounds_seen = []
     centers, train, val, shards, _ = race_task(seed, ALPHA_MILD)
     protos = [
-        ff.Prototype(f"p{i}", (2,) + w + (p["classes"],))
+        ff.Prototype(f"p{i}", (2,) + w + (p["classes"],), precision=precision if i == 0 else "full")
         for i, w in enumerate([(32, 32), (48, 48), (64,)])
     ]
     cmap = [protos[k % 3].id for k in range(p["clients"])]
-    distill = ff.DistillConfig(
-        max_steps=p["distill_steps"],
-        patience=p["distill_patience"],
-        pool=race_pool("heldout", centers, seed),
-        init_mode="from_average",
-    )
+    distill = None
+    if strategy == "feddf":
+        distill = ff.DistillConfig(
+            max_steps=p["distill_steps"],
+            patience=p["distill_patience"],
+            pool=race_pool("heldout", centers, seed),
+            init_mode="from_average",
+        )
     cfg = ff.FLConfig(
         rounds=5,
         client_count=p["clients"],
@@ -413,33 +415,44 @@ def hetero_margins(seed: int) -> tuple[list[float], list[int]]:
         local_epochs=p["local_epochs"],
         local_lr=p["local_lr"],
         local_batch=p["local_batch"],
-        strategy="feddf",
+        strategy=strategy,
         seed=seed,
         distill=distill,
     )
     _, recs = ff.run_training(cfg, shards, val, protos, client_prototypes=cmap)
-    for proto in protos:
-        fused = [
-            r.per_prototype[proto.id]["acc_fused"]
-            for r in recs
-            if proto.id in r.per_prototype
-        ]
-        avg = [
-            r.per_prototype[proto.id]["acc_averaged"]
-            for r in recs
-            if proto.id in r.per_prototype
-        ]
-        rounds_seen.append(len(fused))
-        margins.append(float(np.mean(fused) - np.mean(avg)))
-    return margins, rounds_seen
+    return [
+        [(r.per_prototype[proto.id]["acc_fused"], r.per_prototype[proto.id]["acc_averaged"])
+         for r in recs if proto.id in r.per_prototype]
+        for proto in protos
+    ]
+
+
+def family_margins(runs: list) -> list[list[float]]:
+    """Per family, per seed: mean fused minus mean group-average accuracy."""
+    return [[float(np.mean([f for f, _ in run[i]]) - np.mean([a for _, a in run[i]])) for run in runs]
+            for i in range(len(runs[0]))]
 
 
 def test_criterion_06_heterogeneous_fusion_lifts_every_prototype():
-    margins = []
-    rounds_seen = []
-    for seed_margins, seed_rounds in parallel_map(hetero_margins, list(SEEDS)):
-        margins += seed_margins
-        rounds_seen += seed_rounds
+    keys = [(seed, "feddf", "full") for seed in SEEDS]
+    binary_keys = [(seed, "feddf", "binary_ste") for seed in SEEDS]
+    fedavg_keys = [(seed, "fedavg", "full") for seed in SEEDS]
+    runs = parallel_map(hetero_run, keys + binary_keys + fedavg_keys)  # distilling fleets first
+    feddf, binary, fedavg = runs[: len(SEEDS)], runs[len(SEEDS) : -len(SEEDS)], runs[-len(SEEDS) :]
+    margins = [m for family in family_margins(feddf) for m in family]
+    rounds_seen = [len(family) for run in feddf for family in run]
+    last = {name: [np.mean([run[i][-1][0] for run in arms]) for i in range(3)]
+            for name, arms in (("fedavg", fedavg), ("feddf", feddf))}
+    print(
+        "\n[criterion 06] report: last-round accuracy per family (mean of 10 seeds, the last round each "
+        "family was sampled in): fedavg " + " / ".join(f"{v:.4f}" for v in last["fedavg"])
+        + ", feddf " + " / ".join(f"{v:.4f}" for v in last["feddf"])
+    )
+    print(
+        "[criterion 06] report: margins with p0 binary_ste, per family (min..max over 10 seeds, seeds above 0): "
+        + ", ".join(f"p{i} {min(m):+.4f}..{max(m):+.4f} ({sum(v > 0 for v in m)}/{len(m)})"
+                    for i, m in enumerate(family_margins(binary)))
+    )
     ok = min(rounds_seen) >= 3 and all(m >= 0.0 for m in margins)
     verdict(
         6,

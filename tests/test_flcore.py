@@ -25,7 +25,6 @@ from fedfusion.flcore import (
     ServerState,
     client_local_update,
     client_rng,
-    drop_worst,
     ensemble_accuracy,
     ensemble_logits,
     feddf_fuse,
@@ -292,28 +291,16 @@ def test_prox_pull_dominates_at_huge_mu():
     assert np.abs(out.values - start.values).max() < 1e-3
 
 
-def test_drop_worst_keeps_only_above_threshold():
-    _, val, _, proto = small_task()
-    good = client_local_update(
-        init_params(proto, 0),
-        ff.make_gaussian_blobs(3, 60, None, 0.5, seed=1000),
-        20, 0.05, 16, np.random.default_rng(0),
-    )
-    bad = init_params(proto, 3)  # untrained
-    acc_good = top1_accuracy(good, val)
-    acc_bad = top1_accuracy(bad, val)
-    assert acc_good > 0.9 and acc_bad < acc_good
-    kept = drop_worst([good, bad], val, (acc_good + acc_bad) / 2.0)
-    assert len(kept) == 1 and kept[0] is good
-
-
-def test_drop_worst_all_below_keeps_single_best():
-    _, val, _, proto = small_task()
-    models = [init_params(proto, s) for s in range(3)]
-    kept = drop_worst(models, val, 2.0)  # nothing can clear an accuracy of 2
-    assert len(kept) == 1
-    best = max(models, key=lambda m: top1_accuracy(m, val))
-    assert kept[0] is best
+@pytest.mark.parametrize("threshold", [0.6, 0.99])
+def test_drop_threshold_keeps_clients_above_it_or_else_the_single_best(threshold):
+    _, val, shards, proto = small_task()
+    cap = {}
+    cfg = small_cfg("fedavg", rounds=1, drop_threshold=threshold, seed=2)  # clients 0, 1, 4 score 0.47, 0.69, 0.67
+    _, rec = run_round(ServerState.initialize([proto], 2), cfg, shards, val, capture=cap)
+    accs = {k: top1_accuracy(m, val) for k, m in cap["client_models"].items()}
+    above = [k for k, a in accs.items() if a > threshold]
+    assert len(above) == (2 if threshold == 0.6 else 0)  # 0.99: no client clears it, so the best one is kept
+    assert [k for k in rec.sampled if k not in rec.dropped] == (above or [max(accs, key=accs.get)])
 
 
 def test_ensemble_logits_is_mean_of_logits():
@@ -421,10 +408,9 @@ def test_heldout_targets_match_per_batch_targets_at_any_row_count(monkeypatch):
 
 def reference_fuse(teachers, init, cfg, val, rng, cursor=(None, 0)):
     """feddf_fuse written with the public numerics.grad, opt_step and top1_accuracy."""
-    proto = init.prototype
-    twin = Prototype(proto.id, proto.layer_widths, proto.activation, "full")
-    student = ParamVector(twin, init.values.copy())
-    opt = numerics.OptimizerState.adam(cfg.base_lr, twin.n_params, schedule="cosine", total_steps=cfg.max_steps)
+    proto = init.prototype  # a binary_ste student trains through the STE step and is scored binarized
+    student = init.copy()
+    opt = numerics.OptimizerState.adam(cfg.base_lr, proto.n_params, schedule="cosine", total_steps=cfg.max_steps)
     best_values, best_acc, best_step, steps = init.values.copy(), top1_accuracy(student, val), 0, 0
     pool, held = cfg.pool, cursor
     if pool.kind != "heldout":  # a noise pool's rows are drawn once per fusion and threaded by a cursor of their own
@@ -1491,20 +1477,35 @@ def test_weak_group_gains_from_strong_ensemble():
     assert weak["acc_fused"] - weak["acc_averaged"] >= 0.2
 
 
-def test_binary_prototype_round_trains_and_stays_binarized_on_wire():
-    from fedfusion.flcore import client_rng
-    from fedfusion.models import binarize_values
+def fused_never_below_average(records) -> bool:
+    """Each round's fused model scores at least its group's average on val, per prototype of a fleet."""
+    groups = [g for r in records for g in (r.per_prototype.values() if r.per_prototype else [r.as_dict()])]
+    return all(g["acc_fused"] >= g["acc_averaged"] for g in groups)
 
-    train, val, shards, _ = small_task()
+
+@pytest.mark.parametrize("case", ["uniform_noise", "skewed_heldout", "fleet_pin"])
+def test_binary_prototype_round_trains_and_stays_binarized_on_wire(case):
+    """Step 0 scores the average as it is deployed, binarized, and run_round re-scores the result by the same
+    rule, so a from_average fusion never records a worse model than the average it started from."""
+    from test_pins import fleet_run
+
     proto = Prototype("b", (2, 12, 3), precision="binary_ste")
-    cfg = small_cfg(
-        "feddf",
-        distill=DistillConfig(max_steps=15, patience=5, pool=uniform_pool()),
-    )
-    state, recs = run_training(cfg, shards, val, [proto])
-    assert len(recs) == 3
+    if case == "fleet_pin":  # its prototype "a" is binary_ste, "b" full precision
+        state, recs = fleet_run()
+        proto = state.params["a"].prototype
+    else:
+        if case == "uniform_noise":
+            _, val, shards, _ = small_task()
+            cfg = small_cfg("feddf", distill=DistillConfig(max_steps=15, patience=5, pool=uniform_pool()))
+        else:  # a student trained and scored at full precision records 0.6389 here, its average 0.6667 (round 4)
+            _, val, shards, _ = small_task(seed=4, alpha=0.5)
+            pool = ff.DistillPool.heldout(np.random.default_rng(7).normal(size=(64, 2)), 16)
+            cfg = small_cfg("feddf", rounds=4, local_lr=0.1, seed=4, distill=DistillConfig(40, 10, pool, 0.01))
+        state, recs = run_training(cfg, shards, val, [proto])
+    assert len(recs) == (3 if case == "uniform_noise" else 4) and proto.precision == "binary_ste"
+    assert fused_never_below_average(recs)
     # served predictions use binarized weights: master values binarize cleanly
-    served = binarize_values(proto, state.params["b"].values)
+    served = binarize_values(proto, state.params[proto.id].values)
     assert np.isfinite(served).all()
 
 

@@ -49,12 +49,12 @@ from fedfusion.harness import OUTPUT_ENV_VAR
 
 
 PLATFORM = "x86_64 numpy 2.4.6 scipy-openblas 0.3.31.188.0"
-DIGEST = "c2fb023e76f6ad2a3e5d42f4979bdf0c70288fd5ec993ba17257ca854b46de44"
+DIGEST = "8524e5d059c5052a4188c229aa7de15f283e7ceeaf50ae0c63fdb122a94f0b19"
 RECORDS = [  # each round's as_dict()
     {'round': 1, 'sampled': [2, 3, 4], 'dropped': [3], 'acc_averaged': 0.9722222222222222, 'acc_fused': 0.9722222222222222, 'acc_ensemble': 0.7777777777777778, 'distill_steps': 5, 'acc_per_prototype': {'a': {'acc_averaged': 0.9722222222222222, 'acc_fused': 0.9722222222222222}}},
     {'round': 2, 'sampled': [1, 3, 4], 'dropped': [3], 'acc_averaged': 0.7916666666666666, 'acc_fused': 0.8611111111111112, 'acc_ensemble': 1.0, 'distill_steps': 14, 'acc_per_prototype': {'a': {'acc_averaged': 0.9166666666666666, 'acc_fused': 0.9166666666666666}, 'b': {'acc_averaged': 0.6666666666666666, 'acc_fused': 0.8055555555555556}}},
-    {'round': 3, 'sampled': [0, 3, 4], 'dropped': [], 'acc_averaged': 0.7777777777777777, 'acc_fused': 0.7916666666666666, 'acc_ensemble': 1.0, 'distill_steps': 12, 'acc_per_prototype': {'a': {'acc_averaged': 0.8888888888888888, 'acc_fused': 0.9166666666666666}, 'b': {'acc_averaged': 0.6666666666666666, 'acc_fused': 0.6666666666666666}}},
-    {'round': 4, 'sampled': [0, 3, 4], 'dropped': [], 'acc_averaged': 0.7638888888888888, 'acc_fused': 0.7638888888888888, 'acc_ensemble': 1.0, 'distill_steps': 15, 'acc_per_prototype': {'a': {'acc_averaged': 0.8611111111111112, 'acc_fused': 0.8611111111111112}, 'b': {'acc_averaged': 0.6666666666666666, 'acc_fused': 0.6666666666666666}}},]
+    {'round': 3, 'sampled': [0, 3, 4], 'dropped': [], 'acc_averaged': 0.7777777777777777, 'acc_fused': 0.7916666666666666, 'acc_ensemble': 1.0, 'distill_steps': 10, 'acc_per_prototype': {'a': {'acc_averaged': 0.8888888888888888, 'acc_fused': 0.9166666666666666}, 'b': {'acc_averaged': 0.6666666666666666, 'acc_fused': 0.6666666666666666}}},
+    {'round': 4, 'sampled': [0, 3, 4], 'dropped': [], 'acc_averaged': 0.7638888888888888, 'acc_fused': 0.7638888888888888, 'acc_ensemble': 1.0, 'distill_steps': 5, 'acc_per_prototype': {'a': {'acc_averaged': 0.8611111111111112, 'acc_fused': 0.8611111111111112}, 'b': {'acc_averaged': 0.6666666666666666, 'acc_fused': 0.6666666666666666}}},]
 TABLE = {  # row: (digest, each round's as_dict())
     'fedavg': ('c23dee842caec1bd933a933e20524f58d9af765ae04e78e9bc5c99882c7f10cd', [{'round': 1, 'sampled': [1, 2, 3], 'dropped': [], 'acc_averaged': 0.6944444444444444, 'acc_fused': 0.6944444444444444, 'acc_ensemble': 0.5, 'distill_steps': 0, 'acc_per_prototype': {}}, {'round': 2, 'sampled': [1, 2, 3], 'dropped': [], 'acc_averaged': 0.75, 'acc_fused': 0.75, 'acc_ensemble': 0.7222222222222222, 'distill_steps': 0, 'acc_per_prototype': {}}, {'round': 3, 'sampled': [0, 2, 3], 'dropped': [], 'acc_averaged': 1.0, 'acc_fused': 1.0, 'acc_ensemble': 1.0, 'distill_steps': 0, 'acc_per_prototype': {}}]),
     'fedprox': ('d87a48e1f8fc574c48d666786aa8ac2fbceca182c8c40fefadd0a7fdce25b1d0', [{'round': 1, 'sampled': [1, 2, 3], 'dropped': [], 'acc_averaged': 0.6944444444444444, 'acc_fused': 0.6944444444444444, 'acc_ensemble': 0.5, 'distill_steps': 0, 'acc_per_prototype': {}}, {'round': 2, 'sampled': [1, 2, 3], 'dropped': [], 'acc_averaged': 0.75, 'acc_fused': 0.75, 'acc_ensemble': 0.7222222222222222, 'distill_steps': 0, 'acc_per_prototype': {}}, {'round': 3, 'sampled': [0, 2, 3], 'dropped': [], 'acc_averaged': 1.0, 'acc_fused': 1.0, 'acc_ensemble': 1.0, 'distill_steps': 0, 'acc_per_prototype': {}}]),
@@ -62,7 +62,7 @@ TABLE = {  # row: (digest, each round's as_dict())
     'feddf_heldout': ('88ae6a189eeb7f0f1f2c9f84084fbc0869e126dbf6d4b5c1001020e3868856c9', [{'round': 1, 'sampled': [1, 2, 3], 'dropped': [], 'acc_averaged': 0.6944444444444444, 'acc_fused': 0.8888888888888888, 'acc_ensemble': 0.5, 'distill_steps': 18, 'acc_per_prototype': {}}, {'round': 2, 'sampled': [1, 2, 3], 'dropped': [], 'acc_averaged': 0.9166666666666666, 'acc_fused': 0.9722222222222222, 'acc_ensemble': 0.9166666666666666, 'distill_steps': 16, 'acc_per_prototype': {}}, {'round': 3, 'sampled': [0, 2, 3], 'dropped': [], 'acc_averaged': 1.0, 'acc_fused': 1.0, 'acc_ensemble': 1.0, 'distill_steps': 15, 'acc_per_prototype': {}}]),
     'feddf_uniform_noise': ('e5ba11a394a2e7bf4b8a0c1f0450e5d19ce641fb3df84280271c881767067bf4', [{'round': 1, 'sampled': [1, 2, 3], 'dropped': [], 'acc_averaged': 0.6944444444444444, 'acc_fused': 0.9166666666666666, 'acc_ensemble': 0.5, 'distill_steps': 17, 'acc_per_prototype': {}}, {'round': 2, 'sampled': [1, 2, 3], 'dropped': [], 'acc_averaged': 0.9166666666666666, 'acc_fused': 0.9722222222222222, 'acc_ensemble': 0.9166666666666666, 'distill_steps': 16, 'acc_per_prototype': {}}, {'round': 3, 'sampled': [0, 2, 3], 'dropped': [], 'acc_averaged': 1.0, 'acc_fused': 1.0, 'acc_ensemble': 1.0, 'distill_steps': 15, 'acc_per_prototype': {}}]),
     'feddf_gaussian_noise': ('5f6f8edf06e46380fa8d30017db4ad052101277b4cadba0fe337d42cb31494c0', [{'round': 1, 'sampled': [1, 2, 3], 'dropped': [], 'acc_averaged': 0.6944444444444444, 'acc_fused': 0.8333333333333334, 'acc_ensemble': 0.5, 'distill_steps': 17, 'acc_per_prototype': {}}, {'round': 2, 'sampled': [1, 2, 3], 'dropped': [], 'acc_averaged': 0.8611111111111112, 'acc_fused': 0.9722222222222222, 'acc_ensemble': 0.8611111111111112, 'distill_steps': 16, 'acc_per_prototype': {}}, {'round': 3, 'sampled': [0, 2, 3], 'dropped': [], 'acc_averaged': 1.0, 'acc_fused': 1.0, 'acc_ensemble': 1.0, 'distill_steps': 15, 'acc_per_prototype': {}}]),
-    'feddf_binary_ste_tanh': ('79dda9ca41b211040589c0e04b41c90cdae596141e5cd5de12d0a4b0ffec566d', [{'round': 1, 'sampled': [1, 2, 3], 'dropped': [], 'acc_averaged': 0.8888888888888888, 'acc_fused': 0.9166666666666666, 'acc_ensemble': 0.8888888888888888, 'distill_steps': 17, 'acc_per_prototype': {}}, {'round': 2, 'sampled': [1, 2, 3], 'dropped': [], 'acc_averaged': 0.8611111111111112, 'acc_fused': 0.8888888888888888, 'acc_ensemble': 0.8888888888888888, 'distill_steps': 16, 'acc_per_prototype': {}}, {'round': 3, 'sampled': [0, 2, 3], 'dropped': [], 'acc_averaged': 0.9722222222222222, 'acc_fused': 0.9722222222222222, 'acc_ensemble': 0.8888888888888888, 'distill_steps': 15, 'acc_per_prototype': {}}]),
+    'feddf_binary_ste_tanh': ('3912dd1abd1eb46f39c3774dd06e977b35edf64fc298c440f8b9e6938ae30e68', [{'round': 1, 'sampled': [1, 2, 3], 'dropped': [], 'acc_averaged': 0.8888888888888888, 'acc_fused': 0.9722222222222222, 'acc_ensemble': 0.8888888888888888, 'distill_steps': 21, 'acc_per_prototype': {}}, {'round': 2, 'sampled': [1, 2, 3], 'dropped': [], 'acc_averaged': 0.8888888888888888, 'acc_fused': 0.9166666666666666, 'acc_ensemble': 0.8888888888888888, 'distill_steps': 18, 'acc_per_prototype': {}}, {'round': 3, 'sampled': [0, 2, 3], 'dropped': [], 'acc_averaged': 1.0, 'acc_fused': 1.0, 'acc_ensemble': 0.9444444444444444, 'distill_steps': 15, 'acc_per_prototype': {}}]),
     'feddf_from_previous': ('8faa5b95b30bc0881e172c91e1c81a437f39c5e73eacc0edebbc5c2bf24ab4d2', [{'round': 1, 'sampled': [1, 2, 3], 'dropped': [], 'acc_averaged': 0.6944444444444444, 'acc_fused': 0.5555555555555556, 'acc_ensemble': 0.5, 'distill_steps': 15, 'acc_per_prototype': {}}, {'round': 2, 'sampled': [1, 2, 3], 'dropped': [], 'acc_averaged': 0.6944444444444444, 'acc_fused': 0.5555555555555556, 'acc_ensemble': 0.5833333333333334, 'distill_steps': 15, 'acc_per_prototype': {}}, {'round': 3, 'sampled': [0, 2, 3], 'dropped': [], 'acc_averaged': 0.6666666666666666, 'acc_fused': 0.6666666666666666, 'acc_ensemble': 0.6944444444444444, 'distill_steps': 16, 'acc_per_prototype': {}}]),
     'feddf_short_schedule': ('f8b83100701c81617559f3290b506a90ebe759b02f57d18c2e07ce5e2205975e', [{'round': 1, 'sampled': [1, 2, 3], 'dropped': [], 'acc_averaged': 0.6944444444444444, 'acc_fused': 0.8888888888888888, 'acc_ensemble': 0.5, 'distill_steps': 4, 'acc_per_prototype': {}}, {'round': 2, 'sampled': [1, 2, 3], 'dropped': [], 'acc_averaged': 0.8888888888888888, 'acc_fused': 0.8888888888888888, 'acc_ensemble': 0.8611111111111112, 'distill_steps': 2, 'acc_per_prototype': {}}, {'round': 3, 'sampled': [0, 2, 3], 'dropped': [], 'acc_averaged': 1.0, 'acc_fused': 1.0, 'acc_ensemble': 1.0, 'distill_steps': 2, 'acc_per_prototype': {}}]),
 }
