@@ -166,12 +166,11 @@ POOL_KINDS = ("heldout", "uniform_noise", "gaussian_noise")
 class DistillPool:
     """Unlabeled input source for distillation batches; holds no draw state.
 
-    Kinds: "heldout" draws without replacement from a fixed input matrix,
-    reshuffling at each epoch boundary, through a cursor its caller threads
-    (sample_distill_rows); "uniform_noise" and "gaussian_noise" synthesize
-    the rows of one fusion at a time (sample_noise_rows). Pools never carry
-    labels. A heldout pool's input matrix is `inputs`; noise pools have none
-    (None).
+    Kinds: "heldout" holds a fixed input matrix, `inputs`; "uniform_noise"
+    and "gaussian_noise" have none (None) and synthesize the rows of one
+    fusion at a time (sample_noise_rows). Either kind's rows are batched
+    without replacement by sample_distill_rows through one cursor its caller
+    threads. Pools never carry labels.
     """
 
     def __init__(self, kind: str, batch_size: int, *, inputs=None, dim=None, low=None, high=None):
@@ -216,21 +215,19 @@ class DistillPool:
 
 
 def sample_distill_rows(
-    pool: DistillPool, rng: np.random.Generator, cursor: tuple = (None, 0)
+    n: int, batch_size: int, rng: np.random.Generator, cursor: tuple = (None, 0)
 ) -> tuple[np.ndarray, tuple]:
-    """(row indices into a heldout pool's inputs for its next batch, cursor after it).
+    """(indices into n rows for the next batch of batch_size, cursor after it).
 
-    Draws without replacement, reshuffling at each epoch boundary; a batch
-    that crosses the boundary takes the rest of one epoch and the start of
-    the next. cursor = (this epoch's order, position in it); the fresh
-    cursor (None, 0) starts a new epoch.
+    Draws without replacement, reshuffling at each epoch boundary; a batch that crosses the boundary takes the rest
+    of one epoch and the start of the next. cursor = (this epoch's order, position in it); the fresh cursor (None, 0)
+    starts a new epoch. A cursor over other rows, whose order does not hold n entries or whose position lies outside
+    [0, n], is a ValueError.
     """
-    if pool.kind != "heldout":
-        raise ValueError(f"{pool.kind} pools have no rows to sample")
     order, pos = cursor
-    parts = []
-    need = pool.batch_size
-    n = pool.inputs.shape[0]
+    if (order is not None and len(order) != n) or not 0 <= pos <= n:
+        raise ValueError(f"cursor at {pos} of {n if order is None else len(order)} rows does not index {n} rows")
+    parts, need = [], batch_size
     while need > 0:
         if order is None or pos >= n:
             order, pos = rng.permutation(n), 0
@@ -252,7 +249,7 @@ def sample_noise_rows(pool: DistillPool, rng: np.random.Generator) -> np.ndarray
         return rng.uniform(pool.low, pool.high, size=size)
     if pool.kind == "gaussian_noise":
         return rng.standard_normal(size=size)
-    raise ValueError("heldout pools hand out row indices (sample_distill_rows), not noise rows")
+    raise ValueError("heldout pools have fixed rows (inputs), not noise rows; every pool's rows share the run's one cursor")
 
 
 def split_train_val(dataset: Dataset, val_fraction: float, seed: int) -> tuple[Dataset, Dataset]:

@@ -28,10 +28,10 @@ batch is a contiguous slice.
 The teachers are fixed while one fusion runs, so feddf_fuse computes their
 softmax targets once, over the whole pool, and gathers each batch's rows from
 them into buffers. A noise pool's rows are drawn once per fusion
-(data.sample_noise_rows) and distilled as a heldout pool's. The heldout epoch
-cursor is run state, not pool state: ServerState.pool_cursor carries it from
-fusion to fusion, through each round's prototypes in sorted id order; a noise
-fusion threads a cursor of its own over its rows.
+(data.sample_noise_rows) and distilled as a heldout pool's. One epoch cursor
+batches every pool kind's rows; it is run state, not pool state, carried by
+ServerState.pool_cursor from fusion to fusion, through each round's prototypes
+in sorted id order, so a noise fusion continues the previous fusion's epoch.
 
 Determinism: every random stream is derived from (seed, stream tag, round,
 client), never from call order, so the order in which a round's clients are
@@ -190,13 +190,13 @@ class FLConfig:
 
 @dataclass
 class ServerState:
-    """Server model(s) keyed by prototype id, momentum buffers and the heldout pool's epoch cursor."""
+    """Server model(s) keyed by prototype id, momentum buffers and the run's distillation cursor, for any pool kind."""
 
     params: dict[str, ParamVector]
     velocity: dict[str, np.ndarray]
     round_index: int
     seed: int
-    pool_cursor: tuple = (None, 0)  # sample_distill_rows's (epoch order, position)
+    pool_cursor: tuple = (None, 0)  # sample_distill_rows's (epoch order, position), from fusion to fusion
 
     @staticmethod
     def initialize(prototypes: list[Prototype], seed: int) -> "ServerState":
@@ -370,6 +370,7 @@ def _join_run(parent: int, shared: list) -> None:
     _SHARED.extend(shared)
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # a Ctrl-C reaches the whole process group; the run ends its workers
     signal.signal(signal.SIGTERM, signal.SIG_DFL)  # not a handler it inherited: map reads exit codes
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})  # a SIGTERM held since the fork kills here
     getattr(ctypes.CDLL(None), "prctl", lambda *args: 0)(1, ctypes.c_ulong(9))  # PR_SET_PDEATHSIG, SIGKILL
     if os.getppid() != parent:  # the run died before the call
         os._exit(1)
@@ -424,8 +425,12 @@ class _Workers:
                 self.block = np.frombuffer(mmap.mmap(-1, 8 * (_SNAPSHOT + self.size + self.clients)))
                 self.ready, self.done = fork.Semaphore(0), fork.Semaphore(0)
                 self.threads = _blas_threads(1)  # a second BLAS thread would fight the workers for their core
-                shared = [self.block, self.ready, self.done]
-                self.pool = ProcessPoolExecutor(n, fork, _join_run, (os.getpid(), shared))
+                mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})  # not for a handler a worker inherits
+                try:  # the first submit forks every worker, which holds any SIGTERM until _join_run
+                    self.pool = ProcessPoolExecutor(n, fork, _join_run, (os.getpid(), [self.block, self.ready, self.done]))
+                    self.pool.submit(int)
+                finally:
+                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         return self.pool is not None
 
     def map(self, fn, jobs: list[tuple], label: str) -> list:
@@ -519,11 +524,11 @@ def feddf_fuse(
     Adam with cosine-annealed lr over max_steps; after each step the student
     is scored on val, the best snapshot is tracked (seeded with init itself),
     and the loop stops early once patience steps pass without improvement.
-    Returns (best snapshot, steps actually taken, heldout cursor after the
-    last batch). A heldout pool's batches continue from cursor, as
-    sample_distill_rows threads it; a noise pool's rows are drawn from rng
-    once, before the first step (sample_noise_rows), and batched through a
-    fresh cursor of their own, so cursor is returned as given. Equal
+    Returns (best snapshot, steps actually taken, cursor after the last
+    batch). The rows distilled are a heldout pool's inputs, or a noise pool's
+    rows drawn from rng once, before the first step (sample_noise_rows); for
+    either kind the batches continue from cursor, as sample_distill_rows
+    threads it, and a cursor over another row count is its ValueError. Equal
     arguments and equally seeded rngs give equal results. A binary_ste
     student trains through its clients' straight-through step and is scored
     binarized, as it is deployed; the returned values are its master values.
@@ -532,8 +537,8 @@ def feddf_fuse(
     before the first step; each step gathers its batch's rows from them.
 
     Checked once per fusion, before any draw from rng: the teachers' class
-    count is the student's; val fits the student and has finite inputs. The
-    teachers' checked forward checks the pool's rows once; targets are its
+    count is the student's; val fits the student and has finite inputs. Each
+    teacher's checked forward checks the pool's rows once; targets are their
     softmax, not re-checked. Every step checks the student's logits and
     gradient (numerics._trainer). The student trains in place; a copy of each
     step is scored through models._forward by the scorer of _workers, or of
@@ -555,18 +560,16 @@ def feddf_fuse(
     values = init.values.copy()
     step = numerics._trainer(proto, values, opt)
 
-    pool, held = cfg.pool, cursor
-    if pool.kind != "heldout":  # this fusion's noise rows, distilled as a heldout pool with a cursor of its own
-        pool, cursor = DistillPool.heldout(sample_noise_rows(pool, rng), pool.batch_size), (None, 0)
-    pool_targets = numerics.softmax(ensemble_logits(teachers, pool.inputs))
-    batch = np.empty((pool.batch_size, proto.n_inputs))
-    targets = np.empty((pool.batch_size, proto.n_classes))
+    size = cfg.pool.batch_size
+    rows = cfg.pool.inputs if cfg.pool.kind == "heldout" else sample_noise_rows(cfg.pool, rng)
+    pool_targets = numerics.softmax(ensemble_logits(teachers, rows))
+    batch, targets = np.empty((size, proto.n_inputs)), np.empty((size, proto.n_classes))
 
     def advance() -> None:  # draw the next batch and train one step on it
         nonlocal cursor
-        rows, cursor = sample_distill_rows(pool, rng, cursor)  # in range, as a local-SGD epoch's order
-        np.take(pool.inputs, rows, axis=0, out=batch, mode="clip")
-        np.take(pool_targets, rows, axis=0, out=targets, mode="clip")
+        picked, cursor = sample_distill_rows(len(rows), size, rng, cursor)  # in range, as a local-SGD epoch's order
+        np.take(rows, picked, axis=0, out=batch, mode="clip")
+        np.take(pool_targets, picked, axis=0, out=targets, mode="clip")
         step(batch, targets)
 
     snapshot, post, wait, end = (_workers or _Workers()).scorer(proto, val)  # after the targets: a scorer spins
@@ -589,7 +592,7 @@ def feddf_fuse(
                 break
     finally:
         end()
-    return ParamVector(proto, best_values), s, cursor if pool is cfg.pool else held
+    return ParamVector(proto, best_values), s, cursor
 
 
 def run_round(

@@ -161,7 +161,7 @@ def _parse_str_list(raw: str) -> list[str]:
 
 
 def _parse_centers(raw: str) -> np.ndarray | None:
-    if raw.lower() in ("auto", "ring", ""):
+    if raw.lower() == "auto":
         return None
     return np.array([[_float(v) for v in chunk.split(",")] for chunk in raw.split(";") if chunk.strip()])
 
@@ -178,7 +178,7 @@ def _parse_widths_list(raw: str) -> list[tuple[int, ...]]:
 
 
 def _or_none(cast):
-    return lambda raw: None if raw.lower() in ("none", "") else cast(raw)
+    return lambda raw: None if raw.lower() == "none" else cast(raw)
 
 
 def _parse_drop_threshold(raw: str) -> float | str:
@@ -408,15 +408,13 @@ def load_experiment_config(path) -> ExperimentConfig:
     _probe(lambda: PartitionSpec(cfg.alpha, 1, 0), "partition.alpha")  # blobs stands in for a seed's data
     train, _ = _probe(lambda: split_train_val(blobs, cfg.val_fraction, 0), "dataset.val_fraction")
     _probe(lambda: dirichlet_partition(train.labels, PartitionSpec(cfg.alpha, cfg.clients, 0)), "federated.clients")
-    ends = [(w[0], w[-1]) for w in cfg.prototypes]  # the library's fit and grid rules read only these widths
-    stand_ins = _probe(lambda: [Prototype(f"p{i}", w) for i, w in enumerate(ends)], "federated.prototypes")
-    _probe(lambda: [_check_fits(p, blobs, "dataset") for p in stand_ins], "federated.prototypes")
-    if cfg.grid is not None:  # the export's rules on lo, hi and the resolution, checked on at most a 2x2 grid
-        lo, hi, res = cfg.grid
-        _probe(lambda: decision_boundary_grid(init_params(stand_ins[0], 0), (lo, hi), min(res, 2)), "evaluation.grid")
     _probe(lambda: [Prototype("p", widths) for widths in cfg.prototypes], "federated.prototypes")
     _probe(lambda: Prototype("p", cfg.prototypes[0], cfg.activation), "federated.activation")
-    _probe(cfg.make_prototypes, "federated.precision")
+    prototypes = _probe(cfg.make_prototypes, "federated.precision")  # the run's own, checked once
+    _probe(lambda: [_check_fits(p, blobs, "dataset") for p in prototypes], "federated.prototypes")
+    if cfg.grid is not None:  # the export's rules on lo, hi and the resolution, checked on at most a 2x2 grid
+        lo, hi, res = cfg.grid
+        _probe(lambda: decision_boundary_grid(init_params(prototypes[0], 0), (lo, hi), min(res, 2)), "evaluation.grid")
     stand_in = np.zeros((1, cfg.prototypes[0][0]))  # for a seed's heldout pool rows
     for strategy in cfg.strategies:
         _build_fl_config(cfg, strategy, cfg.seeds[0], stand_in)

@@ -215,8 +215,8 @@ def average_params(models: list[ParamVector], weights) -> ParamVector:
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (len(models),):
         raise ShapeError(f"need {len(models)} weights, got shape {w.shape}")
-    if (w < 0).any():
-        raise ValueError("averaging weights must be non-negative")
+    if not (np.isfinite(w) & (w >= 0)).all():  # before the division: inf / inf is a NaN model
+        raise ValueError("averaging weights must be finite and non-negative")
     total = w.sum()
     if not total > 0:
         raise ValueError("averaging weights must not sum to zero")

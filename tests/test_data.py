@@ -182,34 +182,28 @@ def test_gaussian_pool_moments():
     assert np.abs(x.std(axis=0) - 1.0).max() < 0.1
 
 
-def test_heldout_pool_epochs_draw_without_replacement():
-    inputs = np.arange(20.0).reshape(10, 2)
-    pool = DistillPool.heldout(inputs, 5)
+def test_distill_epochs_draw_without_replacement():
     rng = np.random.default_rng(0)
-    first, cursor = sample_distill_rows(pool, rng)
-    second, _ = sample_distill_rows(pool, rng, cursor)
+    first, cursor = sample_distill_rows(10, 5, rng)
+    second, _ = sample_distill_rows(10, 5, rng, cursor)
     assert sorted(np.concatenate([first, second]).tolist()) == list(range(10))  # one full epoch, no repeats
 
-    full = DistillPool.heldout(inputs, 10)
-    rows, _ = sample_distill_rows(full, np.random.default_rng(1))
+    rows, _ = sample_distill_rows(10, 10, np.random.default_rng(1))
     assert sorted(rows.tolist()) == list(range(10))
 
 
 def test_the_fresh_cursor_restarts_the_epoch():
-    pool = DistillPool.heldout(np.arange(20.0).reshape(10, 2), 5)
-    first, cursor = sample_distill_rows(pool, np.random.default_rng(0))
-    again, again_cursor = sample_distill_rows(pool, np.random.default_rng(0), (None, 0))
+    first, cursor = sample_distill_rows(10, 5, np.random.default_rng(0))
+    again, again_cursor = sample_distill_rows(10, 5, np.random.default_rng(0), (None, 0))
     assert np.array_equal(first, again)
     assert again_cursor[1] == cursor[1] == 5 and np.array_equal(again_cursor[0], cursor[0])
 
 
 @pytest.mark.parametrize("rows, batch", [(10, 4), (10, 10), (10, 25), (7, 3)])
 def test_a_threaded_cursor_slices_one_stream_of_epoch_permutations(rows, batch):
-    pool = DistillPool.heldout(np.arange(2.0 * rows).reshape(rows, 2), batch)
-    held = dict(vars(pool))
     rng, cursor, drawn = np.random.default_rng(3), (None, 0), []
     for _ in range(7):  # crosses epoch boundaries, or several epochs per batch
-        taken, cursor = sample_distill_rows(pool, rng, cursor)
+        taken, cursor = sample_distill_rows(rows, batch, rng, cursor)
         assert taken.shape == (batch,)
         drawn.append(taken)
     ref = np.random.default_rng(3)  # epochs are drawn as they are needed, one permutation each
@@ -217,19 +211,38 @@ def test_a_threaded_cursor_slices_one_stream_of_epoch_permutations(rows, batch):
     assert np.array_equal(np.concatenate(drawn), stream[: 7 * batch])
     assert rng.bit_generator.state == ref.bit_generator.state
     assert cursor[1] == 7 * batch - (len(stream) - rows)
-    assert vars(pool).keys() == held.keys() and all(vars(pool)[k] is v for k, v in held.items())
+
+
+@pytest.mark.parametrize(
+    "rows, cursor",
+    [(4, (np.arange(10), 7)), (4, (np.arange(3), 0)), (4, (np.arange(4), 5)), (4, (None, 5)), (4, (np.arange(4), -1))],
+    ids=["larger_order", "smaller_order", "past_the_end", "fresh_order_past_the_end", "negative_position"],
+)
+def test_a_cursor_over_other_rows_is_refused(rows, cursor):
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"does not index {rows} rows"):
+        sample_distill_rows(rows, 2, rng, cursor)
+    assert rng.bit_generator.state == before
+
+
+def test_a_cursor_at_either_end_of_its_epoch_is_taken():
+    order = np.array([3, 1, 0, 2])
+    rows, cursor = sample_distill_rows(4, 2, np.random.default_rng(0), (order, 0))
+    assert rows.tolist() == [3, 1] and cursor[0] is order and cursor[1] == 2
+    rng, ref = np.random.default_rng(0), np.random.default_rng(0)
+    rows, cursor = sample_distill_rows(4, 2, rng, (order, 4))  # the epoch is spent: the next one begins
+    assert np.array_equal(rows, ref.permutation(4)[:2]) and cursor[1] == 2
 
 
 def test_only_heldout_pools_have_rows():
     inputs = np.arange(20.0).reshape(10, 2)
     heldout = DistillPool.heldout(inputs, 4)
     assert np.array_equal(heldout.inputs, inputs)
-    with pytest.raises(ValueError, match="row indices"):
+    with pytest.raises(ValueError, match="not noise rows; every pool's rows share the run's one cursor"):
         sample_noise_rows(heldout, np.random.default_rng(0))
     for pool in (DistillPool.uniform_noise(-1.0, 1.0, 2, 4), DistillPool.gaussian_noise(2, 4)):
         assert pool.inputs is None
-        with pytest.raises(ValueError):
-            sample_distill_rows(pool, np.random.default_rng(0))
 
 
 def test_pools_expose_no_labels():

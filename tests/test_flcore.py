@@ -412,13 +412,11 @@ def reference_fuse(teachers, init, cfg, val, rng, cursor=(None, 0)):
     student = init.copy()
     opt = numerics.OptimizerState.adam(cfg.base_lr, proto.n_params, schedule="cosine", total_steps=cfg.max_steps)
     best_values, best_acc, best_step, steps = init.values.copy(), top1_accuracy(student, val), 0, 0
-    pool, held = cfg.pool, cursor
-    if pool.kind != "heldout":  # a noise pool's rows are drawn once per fusion and threaded by a cursor of their own
-        pool, cursor = ff.DistillPool.heldout(ff.sample_noise_rows(pool, rng), pool.batch_size), (None, 0)
-    pool_targets = numerics.softmax(ensemble_logits(teachers, pool.inputs))
-    for _ in range(cfg.max_steps):
-        rows, cursor = ff.data.sample_distill_rows(pool, rng, cursor)
-        batch, targets = pool.inputs[rows], pool_targets[rows]
+    pool = cfg.pool.inputs if cfg.pool.kind == "heldout" else ff.sample_noise_rows(cfg.pool, rng)  # drawn once per fusion
+    pool_targets = numerics.softmax(ensemble_logits(teachers, pool))
+    for _ in range(cfg.max_steps):  # every pool kind's batches continue the cursor given
+        rows, cursor = ff.data.sample_distill_rows(len(pool), cfg.pool.batch_size, rng, cursor)
+        batch, targets = pool[rows], pool_targets[rows]
         g = numerics.grad("kl_vs_target", student, batch, target_probs=targets)
         student, opt = numerics.opt_step(opt, student, g)
         steps += 1
@@ -427,7 +425,7 @@ def reference_fuse(teachers, init, cfg, val, rng, cursor=(None, 0)):
             best_acc, best_values, best_step = acc, student.values.copy(), steps
         if steps - best_step >= cfg.patience:
             break
-    return ParamVector(proto, best_values), steps, cursor if pool is cfg.pool else held
+    return ParamVector(proto, best_values), steps, cursor
 
 
 def same_cursor(a, b):
@@ -490,7 +488,7 @@ def test_feddf_fuse_equals_grad_opt_step_loop_bitwise(pool_kind, activation, pre
     fused, steps, cursor = feddf_fuse(teachers, init, cfg, val, rng)
     ref, ref_steps, ref_cursor = reference_fuse(teachers, init, cfg, val, ref_rng)
     assert steps == ref_steps
-    assert same_cursor(cursor, ref_cursor) and (cursor[0] is None) == (pool_kind != "heldout")
+    assert same_cursor(cursor, ref_cursor) and len(cursor[0]) == (45 if pool_kind == "heldout" else 4 * 16)
     assert steps == max_steps if patience == max_steps else steps < max_steps
     assert fused.prototype == ref.prototype == init.prototype
     assert np.array_equal(fused.values, ref.values)
@@ -713,6 +711,30 @@ def test_repeated_heldout_fusions_with_equal_arguments_give_equal_bits():
     assert not np.array_equal(first.values, carried.values)  # a threaded cursor draws other rows
 
 
+@pytest.mark.parametrize("pool_kind", ["heldout", "uniform_noise", "gaussian_noise"])
+def test_a_fusion_refuses_a_cursor_over_more_rows(pool_kind):
+    teachers, init, cfg, val = fusion_case(pool_kind, "relu", "full", "from_average", 30, 30)
+    rows = 45 if pool_kind == "heldout" else 4 * 16
+    for cursor in [(np.arange(rows + 10), rows + 3), (None, rows + 1)]:  # a larger pool's order, or a position past it
+        with pytest.raises(ValueError, match=f"does not index {rows} rows"):
+            feddf_fuse(teachers, init, cfg, val, np.random.default_rng(0), cursor)
+
+
+@pytest.mark.parametrize("pool_kind", ["uniform_noise", "gaussian_noise"])
+def test_a_noise_fusion_continues_the_cursor_it_is_given(pool_kind):
+    teachers, init, cfg, val = fusion_case(pool_kind, "relu", "full", "from_average", 1, 1)
+    order = np.random.default_rng(5).permutation(4 * 16)
+    rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+    fused, steps, cursor = feddf_fuse(teachers, init, cfg, val, rng, (order, 32))
+    assert steps == 1 and cursor[0] is order and cursor[1] == 48  # the batch was order[32:48], no new epoch
+    ff.sample_noise_rows(cfg.pool, ref_rng)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state  # the rows were the only draw
+    ref, _, ref_cursor = reference_fuse(teachers, init, cfg, val, np.random.default_rng(8), (order, 32))
+    assert same_cursor(cursor, ref_cursor) and np.array_equal(fused.values, ref.values)
+    again, _, again_cursor = feddf_fuse(teachers, init, replace(cfg, max_steps=3, patience=3), val, rng, cursor)
+    assert again_cursor[0] is not order and again_cursor[1] == 32  # one batch ends the epoch, two start the next
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("pool_kind", ["heldout", "gaussian_noise"])
 def test_diverging_student_raises_the_reference_loop_error(pool_kind):
@@ -826,7 +848,11 @@ def test_forked_clients_equal_the_serial_loop_bitwise(strategy, pooled_rounds):
     assert all(np.array_equal(state.params[p].values, ref_state.params[p].values) for p in state.params)
     assert all(np.array_equal(state.velocity[p], ref_state.velocity[p]) for p in state.params)
     assert same_cursor(state.pool_cursor, ref_state.pool_cursor)
-    assert (0 < state.pool_cursor[1] < 45) if cfg.distill and cfg.distill.pool.kind == "heldout" else state.pool_cursor == (None, 0)
+    if cfg.distill:  # one cursor over the pool's rows, 45 heldout or a noise fusion's four batches, runs through the run
+        rows = 45 if cfg.distill.pool.kind == "heldout" else 4 * cfg.distill.pool.batch_size
+        assert len(state.pool_cursor[0]) == rows and 0 < state.pool_cursor[1] <= rows
+    else:
+        assert state.pool_cursor == (None, 0)
     assert cap["client_models"].keys() == ref_cap["client_models"].keys()
     for k, model in cap["client_models"].items():
         ref = ref_cap["client_models"][k]
@@ -1234,6 +1260,33 @@ def test_a_pool_worker_takes_sigterm_at_the_kernel(monkeypatch):
         workers.close()
 
 
+def test_a_worker_sigtermed_before_its_initializer_still_dies(monkeypatch):
+    """A SIGTERM that lands between a worker's fork and the initializer that resets its handler waits for the reset,
+    so the handler the run installed cannot take it: such a survivor blocked on a lock its killed peer held, and
+    close waited on it forever."""
+    import signal
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)  # two usable CPUs on any host
+    join = flcore._join_run
+    monkeypatch.setattr(flcore, "_join_run", lambda *args: time.sleep(0.5) or join(*args))  # each worker starts slowly
+    workers = flcore._Workers([Prototype("m", (2, 12, 3))])
+    caller = signal.signal(signal.SIGTERM, lambda *args: None)  # inherited by a forked worker
+    try:
+        if not workers._fork(2):
+            pytest.skip("no fork pool on this platform")
+        workers.pool.submit(int)  # the workers are forked by the first submit at the latest
+        started = list(workers.pool._processes.values())
+        for worker in started:
+            os.kill(worker.pid, signal.SIGTERM)  # while it sleeps before the initializer
+        deadline = time.monotonic() + 5
+        while any(w.exitcode is None for w in started) and time.monotonic() < deadline:
+            time.sleep(0.01)  # polled, not joined: the broken pool's own thread may reap them first
+        assert len(started) == 2 and [w.exitcode for w in started] == [-signal.SIGTERM] * 2
+    finally:
+        signal.signal(signal.SIGTERM, caller)
+        workers.close()
+
+
 def blas_threads() -> int:
     """numpy's OpenBLAS thread count, unchanged by the reading."""
     count = flcore._blas_threads(1)
@@ -1340,6 +1393,24 @@ def test_fl_config_cross_field_validation():
         small_cfg("fedavg", drop_threshold=1.0)
     with pytest.raises(ConfigError):
         small_cfg("nonsense")
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (dict(seed=1), "^state seed 0 != config seed 1$"),
+        (dict(shards=4), "^5 clients but 4 shards$"),
+        (dict(client_prototypes=["m"] * 4), "^client_prototypes maps 4 clients, expected 5$"),
+        (dict(client_prototypes=["m", "x", "m", "y", "m"]), r"^client_prototypes references undeclared prototypes \['x', 'y'\]$"),
+    ],
+    ids=["seed", "shard_count", "map_length", "undeclared_prototype"],
+)
+def test_run_round_refuses_arguments_that_do_not_match_its_config(change, message):
+    _, val, shards, proto = small_task()
+    state = ServerState.initialize([proto], 0)
+    cfg = small_cfg("fedavg", seed=change.get("seed", 0))
+    with pytest.raises(ConfigError, match=message):
+        run_round(state, cfg, shards[: change.get("shards", 5)], val, change.get("client_prototypes"))
 
 
 def test_server_state_initialize_validation():

@@ -979,6 +979,29 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("dataset", "centers", "ring", "bad value for dataset.centers: 'ring' (could not convert string to float: 'ring')"),
+            ("dataset", "centers", "", "bad value for dataset.centers: centers must have shape (3, dim), got (0,)"),
+            ("evaluation", "grid", "", "bad value for evaluation.grid: '' (grid must be 'lo,hi,resolution' or 'none')"),
+            ("federated", "drop_threshold", "", "bad value for federated.drop_threshold: '' (could not convert string to float: '')"),
+        ],
+        ids=["centers_ring", "centers_empty", "grid_empty", "drop_threshold_empty"],
+    )
+    def test_only_the_documented_forms_load(self, tmp_path, capsys, section, key, value, message):
+        """The README config with one value set to a form README does not document: a config error, not a default."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+        parser.read_string(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+        parser["experiment"]["output"] = str(tmp_path / "out")
+        parser[section][key] = value
+        with open(tmp_path / "bad.ini", "w") as fh:
+            parser.write(fh)
+        assert cli_main(["run", str(tmp_path / "bad.ini")]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "old, new, message",
         [
             ("rounds = 10\n", "rounds = 10\nrounds = 11\n", "option 'rounds' in section 'federated' already exists"),

@@ -292,10 +292,13 @@ def test_average_validation():
     other = Prototype("other", proto.layer_widths)
     with pytest.raises(PrototypeMismatchError):
         average_params([init_params(proto, 0), init_params(other, 0)], [1.0, 1.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="finite and non-negative"):
         average_params([init_params(proto, 0)], [-1.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must not sum to zero"):
         average_params([init_params(proto, 0)], [0.0])
+    for weights in ([1.0, np.inf], [1.0, np.nan], [np.nan, 0.0], [-np.inf, 1.0]):  # refused, with no RuntimeWarning
+        with pytest.raises(ValueError, match="^averaging weights must be finite and non-negative$"):
+            average_params([init_params(proto, 0), init_params(proto, 1)], weights)
     with pytest.raises(ValueError):
         average_params([], [])
 

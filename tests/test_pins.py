@@ -60,8 +60,8 @@ TABLE = {  # row: (digest, each round's as_dict())
     'fedprox': ('d87a48e1f8fc574c48d666786aa8ac2fbceca182c8c40fefadd0a7fdce25b1d0', [{'round': 1, 'sampled': [1, 2, 3], 'dropped': [], 'acc_averaged': 0.6944444444444444, 'acc_fused': 0.6944444444444444, 'acc_ensemble': 0.5, 'distill_steps': 0, 'acc_per_prototype': {}}, {'round': 2, 'sampled': [1, 2, 3], 'dropped': [], 'acc_averaged': 0.75, 'acc_fused': 0.75, 'acc_ensemble': 0.7222222222222222, 'distill_steps': 0, 'acc_per_prototype': {}}, {'round': 3, 'sampled': [0, 2, 3], 'dropped': [], 'acc_averaged': 1.0, 'acc_fused': 1.0, 'acc_ensemble': 1.0, 'distill_steps': 0, 'acc_per_prototype': {}}]),
     'fedavgm': ('6dcef5c6013772a6b2a709a8ac6dd7083d0127ad0e7cbbfe2d9b162ee8def7d0', [{'round': 1, 'sampled': [1, 2, 3], 'dropped': [], 'acc_averaged': 0.6944444444444444, 'acc_fused': 0.6944444444444444, 'acc_ensemble': 0.5, 'distill_steps': 0, 'acc_per_prototype': {}}, {'round': 2, 'sampled': [1, 2, 3], 'dropped': [], 'acc_averaged': 0.75, 'acc_fused': 0.6944444444444444, 'acc_ensemble': 0.7222222222222222, 'distill_steps': 0, 'acc_per_prototype': {}}, {'round': 3, 'sampled': [0, 2, 3], 'dropped': [], 'acc_averaged': 1.0, 'acc_fused': 1.0, 'acc_ensemble': 1.0, 'distill_steps': 0, 'acc_per_prototype': {}}]),
     'feddf_heldout': ('88ae6a189eeb7f0f1f2c9f84084fbc0869e126dbf6d4b5c1001020e3868856c9', [{'round': 1, 'sampled': [1, 2, 3], 'dropped': [], 'acc_averaged': 0.6944444444444444, 'acc_fused': 0.8888888888888888, 'acc_ensemble': 0.5, 'distill_steps': 18, 'acc_per_prototype': {}}, {'round': 2, 'sampled': [1, 2, 3], 'dropped': [], 'acc_averaged': 0.9166666666666666, 'acc_fused': 0.9722222222222222, 'acc_ensemble': 0.9166666666666666, 'distill_steps': 16, 'acc_per_prototype': {}}, {'round': 3, 'sampled': [0, 2, 3], 'dropped': [], 'acc_averaged': 1.0, 'acc_fused': 1.0, 'acc_ensemble': 1.0, 'distill_steps': 15, 'acc_per_prototype': {}}]),
-    'feddf_uniform_noise': ('e5ba11a394a2e7bf4b8a0c1f0450e5d19ce641fb3df84280271c881767067bf4', [{'round': 1, 'sampled': [1, 2, 3], 'dropped': [], 'acc_averaged': 0.6944444444444444, 'acc_fused': 0.9166666666666666, 'acc_ensemble': 0.5, 'distill_steps': 17, 'acc_per_prototype': {}}, {'round': 2, 'sampled': [1, 2, 3], 'dropped': [], 'acc_averaged': 0.9166666666666666, 'acc_fused': 0.9722222222222222, 'acc_ensemble': 0.9166666666666666, 'distill_steps': 16, 'acc_per_prototype': {}}, {'round': 3, 'sampled': [0, 2, 3], 'dropped': [], 'acc_averaged': 1.0, 'acc_fused': 1.0, 'acc_ensemble': 1.0, 'distill_steps': 15, 'acc_per_prototype': {}}]),
-    'feddf_gaussian_noise': ('5f6f8edf06e46380fa8d30017db4ad052101277b4cadba0fe337d42cb31494c0', [{'round': 1, 'sampled': [1, 2, 3], 'dropped': [], 'acc_averaged': 0.6944444444444444, 'acc_fused': 0.8333333333333334, 'acc_ensemble': 0.5, 'distill_steps': 17, 'acc_per_prototype': {}}, {'round': 2, 'sampled': [1, 2, 3], 'dropped': [], 'acc_averaged': 0.8611111111111112, 'acc_fused': 0.9722222222222222, 'acc_ensemble': 0.8611111111111112, 'distill_steps': 16, 'acc_per_prototype': {}}, {'round': 3, 'sampled': [0, 2, 3], 'dropped': [], 'acc_averaged': 1.0, 'acc_fused': 1.0, 'acc_ensemble': 1.0, 'distill_steps': 15, 'acc_per_prototype': {}}]),
+    'feddf_uniform_noise': ('f445014414d6eeecdc592532ab703aec56990cbb957475e96ca2778e60547331', [{'round': 1, 'sampled': [1, 2, 3], 'dropped': [], 'acc_averaged': 0.6944444444444444, 'acc_fused': 0.9166666666666666, 'acc_ensemble': 0.5, 'distill_steps': 17, 'acc_per_prototype': {}}, {'round': 2, 'sampled': [1, 2, 3], 'dropped': [], 'acc_averaged': 0.9166666666666666, 'acc_fused': 0.9722222222222222, 'acc_ensemble': 0.9166666666666666, 'distill_steps': 16, 'acc_per_prototype': {}}, {'round': 3, 'sampled': [0, 2, 3], 'dropped': [], 'acc_averaged': 1.0, 'acc_fused': 1.0, 'acc_ensemble': 1.0, 'distill_steps': 15, 'acc_per_prototype': {}}]),
+    'feddf_gaussian_noise': ('6108fc0a7edccc3a31388ffc5a88d7c943811fa64f25193958e0fb0daa7dc494', [{'round': 1, 'sampled': [1, 2, 3], 'dropped': [], 'acc_averaged': 0.6944444444444444, 'acc_fused': 0.8333333333333334, 'acc_ensemble': 0.5, 'distill_steps': 17, 'acc_per_prototype': {}}, {'round': 2, 'sampled': [1, 2, 3], 'dropped': [], 'acc_averaged': 0.8611111111111112, 'acc_fused': 0.9444444444444444, 'acc_ensemble': 0.8611111111111112, 'distill_steps': 16, 'acc_per_prototype': {}}, {'round': 3, 'sampled': [0, 2, 3], 'dropped': [], 'acc_averaged': 1.0, 'acc_fused': 1.0, 'acc_ensemble': 1.0, 'distill_steps': 15, 'acc_per_prototype': {}}]),
     'feddf_binary_ste_tanh': ('3912dd1abd1eb46f39c3774dd06e977b35edf64fc298c440f8b9e6938ae30e68', [{'round': 1, 'sampled': [1, 2, 3], 'dropped': [], 'acc_averaged': 0.8888888888888888, 'acc_fused': 0.9722222222222222, 'acc_ensemble': 0.8888888888888888, 'distill_steps': 21, 'acc_per_prototype': {}}, {'round': 2, 'sampled': [1, 2, 3], 'dropped': [], 'acc_averaged': 0.8888888888888888, 'acc_fused': 0.9166666666666666, 'acc_ensemble': 0.8888888888888888, 'distill_steps': 18, 'acc_per_prototype': {}}, {'round': 3, 'sampled': [0, 2, 3], 'dropped': [], 'acc_averaged': 1.0, 'acc_fused': 1.0, 'acc_ensemble': 0.9444444444444444, 'distill_steps': 15, 'acc_per_prototype': {}}]),
     'feddf_from_previous': ('8faa5b95b30bc0881e172c91e1c81a437f39c5e73eacc0edebbc5c2bf24ab4d2', [{'round': 1, 'sampled': [1, 2, 3], 'dropped': [], 'acc_averaged': 0.6944444444444444, 'acc_fused': 0.5555555555555556, 'acc_ensemble': 0.5, 'distill_steps': 15, 'acc_per_prototype': {}}, {'round': 2, 'sampled': [1, 2, 3], 'dropped': [], 'acc_averaged': 0.6944444444444444, 'acc_fused': 0.5555555555555556, 'acc_ensemble': 0.5833333333333334, 'distill_steps': 15, 'acc_per_prototype': {}}, {'round': 3, 'sampled': [0, 2, 3], 'dropped': [], 'acc_averaged': 0.6666666666666666, 'acc_fused': 0.6666666666666666, 'acc_ensemble': 0.6944444444444444, 'distill_steps': 16, 'acc_per_prototype': {}}]),
     'feddf_short_schedule': ('f8b83100701c81617559f3290b506a90ebe759b02f57d18c2e07ce5e2205975e', [{'round': 1, 'sampled': [1, 2, 3], 'dropped': [], 'acc_averaged': 0.6944444444444444, 'acc_fused': 0.8888888888888888, 'acc_ensemble': 0.5, 'distill_steps': 4, 'acc_per_prototype': {}}, {'round': 2, 'sampled': [1, 2, 3], 'dropped': [], 'acc_averaged': 0.8888888888888888, 'acc_fused': 0.8888888888888888, 'acc_ensemble': 0.8611111111111112, 'distill_steps': 2, 'acc_per_prototype': {}}, {'round': 3, 'sampled': [0, 2, 3], 'dropped': [], 'acc_averaged': 1.0, 'acc_fused': 1.0, 'acc_ensemble': 1.0, 'distill_steps': 2, 'acc_per_prototype': {}}]),
